@@ -74,8 +74,8 @@ run cargo test --workspace -q
 # Integration tests under forced serial execution, then full parallelism.
 # The parallel-vs-serial equivalence suite in particular must pass both
 # ways: worker scheduling may never leak into results.
-run env RUST_TEST_THREADS=1 cargo test -q --test batch_equivalence --test end_to_end --test matcher_contract
-run cargo test -q --test batch_equivalence --test end_to_end --test matcher_contract
+run env RUST_TEST_THREADS=1 cargo test -q --test batch_equivalence --test end_to_end --test matcher_contract --test layer_transitions
+run cargo test -q --test batch_equivalence --test end_to_end --test matcher_contract --test layer_transitions
 
 # Robustness gate: the adversarial fault-injection corpus and metamorphic
 # relations must hold in every matching mode (serial/parallel/streaming,
@@ -135,6 +135,12 @@ run env RUST_TEST_THREADS=1 cargo test -q -p lhmm-serve --test swap_loopback
 run cargo test -q -p lhmm-core --release --features lock-witness --test lock_witness
 run env RUST_TEST_THREADS=1 cargo test -q -p lhmm-serve --release --features lock-witness --test lock_witness --test loopback --test cluster_loopback --test swap_loopback
 run cargo test -q -p lhmm-serve --release --features lock-witness --test lock_witness --test loopback --test cluster_loopback --test swap_loopback
+
+# Benchmark runner gate: perfbench is a separate package that drives the
+# crates only through their public APIs (MatchStats, BatchStats, the
+# cluster client). Its schema test and smoke runs of every workload fail
+# here when a refactor breaks an API it reads, not at the next benchmark.
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo
 echo "ci: all checks passed"

@@ -16,7 +16,6 @@ use lhmm_core::types::{
 use lhmm_core::viterbi::{EngineConfig, HmmEngine};
 use lhmm_geo::Point;
 use lhmm_network::graph::{RoadNetwork, SegmentId};
-use lhmm_network::path::Path;
 
 /// Heuristic knobs distinguishing the baselines.
 #[derive(Clone, Debug)]
@@ -104,7 +103,7 @@ impl HmmProbabilities for HeuristicModel<'_> {
 
         // Fewer-turns heuristic (SnapNet).
         if self.preset.turn_penalty > 0.0 {
-            let turn = Path::new(route.segments.clone()).total_turn(self.net);
+            let turn = lhmm_network::path::total_turn_of(self.net, route.segments);
             p *= (-self.preset.turn_penalty * turn).exp();
         }
 
@@ -452,13 +451,13 @@ mod tests {
         let too_long = RouteInfo {
             found: true,
             length: 5_000.0,
-            segments: vec![],
+            segments: &[],
         };
         assert_eq!(model.transition(1, &c, &c, &too_long), 0.0);
         let fine = RouteInfo {
             found: true,
             length: 1_200.0,
-            segments: vec![],
+            segments: &[],
         };
         assert!(model.transition(1, &c, &c, &fine) > 0.0);
     }
@@ -520,12 +519,12 @@ mod tests {
         let r_straight = RouteInfo {
             found: true,
             length: 500.0,
-            segments: straight,
+            segments: &straight,
         };
         let r_turning = RouteInfo {
             found: true,
             length: 500.0,
-            segments: find_turn,
+            segments: &find_turn,
         };
         assert!(
             model.transition(1, &c, &c, &r_straight)

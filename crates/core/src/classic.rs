@@ -158,7 +158,7 @@ mod tests {
         let ok = RouteInfo {
             found: true,
             length: 1_000.0,
-            segments: vec![],
+            segments: &[],
         };
         assert!(m.transition(1, &c, &c, &ok) > 0.99);
     }

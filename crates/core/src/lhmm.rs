@@ -6,9 +6,10 @@ use crate::error::{Degradation, MatchError};
 use crate::observation::{ObsConfig, ObsTrajScorer, ObservationLearner};
 use crate::transition::{TrajTransScorer, TransConfig, TransitionLearner};
 use crate::types::{
-    Candidate, HmmProbabilities, MapMatcher, MatchContext, MatchResult, MatchStats, RouteInfo,
+    transitions_per_pair, Candidate, HmmProbabilities, LayerRoutes, MapMatcher, MatchContext,
+    MatchResult, MatchStats, RouteInfo,
 };
-use crate::viterbi::{EngineConfig, HmmEngine};
+use crate::viterbi::{EngineConfig, HmmEngine, HmmOutput};
 use std::ops::{Deref, DerefMut};
 use crate::timing::StageTimer;
 use lhmm_cellsim::dataset::Dataset;
@@ -524,9 +525,29 @@ impl HmmProbabilities for LhmmTrajModel<'_> {
                 d_straight,
                 dt,
                 route.length,
-                &route.segments,
+                route.segments,
             ) as f64,
             None => self.classic_trans.prob(d_straight, route.length),
+        }
+    }
+
+    fn transition_layer(
+        &mut self,
+        i: usize,
+        prev_layer: &[Candidate],
+        cur_layer: &[Candidate],
+        routes: &LayerRoutes,
+        out: &mut [f64],
+    ) {
+        match self.trans_scorer.as_mut() {
+            // The learned fast path shares work across the layer; the
+            // scalar reference and the classic ablation score per pair.
+            Some(scorer) if !scorer.is_scalar() => {
+                let d_straight = self.positions[i - 1].distance(self.positions[i]);
+                let dt = self.times[i] - self.times[i - 1];
+                scorer.transition_layer(self.net, d_straight, dt, routes, out);
+            }
+            _ => transitions_per_pair(self, i, prev_layer, cur_layer, routes, out),
         }
     }
 }
@@ -585,6 +606,63 @@ impl LhmmModel {
         traj: &CellularTrajectory,
         engine: &mut HmmEngine,
     ) -> Result<(MatchResult, MatchStats), MatchError> {
+        let (out, candidate_sets, stats) = self.match_core(ctx, traj, engine, |e, pts, layers, m| {
+            e.try_find_path(ctx.net, pts, layers, m)
+        })?;
+        let result = MatchResult {
+            path: out.path,
+            candidate_sets: Some(candidate_sets),
+        };
+        Ok((result, stats))
+    }
+
+    /// [`Self::try_match_with_engine_stats`] with the engine run handed to
+    /// `drive`, which receives the engine, the kept points, their candidate
+    /// layers and the per-trajectory probability model, and normally calls
+    /// [`HmmEngine::try_find_path`]. Returns the engine's raw output
+    /// (winning score, added candidates) with the match telemetry.
+    /// Harnesses use it to wrap the model, e.g. to pin the layer-at-a-time
+    /// [`HmmProbabilities::transition_layer`] against the per-pair default.
+    pub fn try_find_path_with<F>(
+        &self,
+        ctx: &MatchContext<'_>,
+        traj: &CellularTrajectory,
+        engine: &mut HmmEngine,
+        drive: F,
+    ) -> Result<(HmmOutput, MatchStats), MatchError>
+    where
+        F: FnOnce(
+            &mut HmmEngine,
+            &[(Point, f64)],
+            Vec<Vec<Candidate>>,
+            &mut dyn HmmProbabilities,
+        ) -> Result<HmmOutput, MatchError>,
+    {
+        let (out, _, stats) = self.match_core(ctx, traj, engine, |e, pts, layers, m| {
+            drive(e, pts, layers, m)
+        })?;
+        Ok((out, stats))
+    }
+
+    /// One match: candidate preparation, the engine run `drive` performs
+    /// on the per-trajectory model, and the telemetry around both. Returns
+    /// the engine output, the per-point candidate road sets (including
+    /// shortcut-added candidates) and the stats.
+    fn match_core<F>(
+        &self,
+        ctx: &MatchContext<'_>,
+        traj: &CellularTrajectory,
+        engine: &mut HmmEngine,
+        drive: F,
+    ) -> Result<(HmmOutput, Vec<Vec<SegmentId>>, MatchStats), MatchError>
+    where
+        F: FnOnce(
+            &mut HmmEngine,
+            &[(Point, f64)],
+            Vec<Vec<Candidate>>,
+            &mut LhmmTrajModel<'_>,
+        ) -> Result<HmmOutput, MatchError>,
+    {
         let mut stats = MatchStats {
             sp_preprocess_time_s: self.sp_preprocess_time_s,
             sp_shortcuts: self.sp.shortcut_count(),
@@ -670,11 +748,14 @@ impl LhmmModel {
         };
 
         let cache_before = engine.cache_stats_detailed();
-        engine.take_sp_time(); // discard any stale accumulation
+        // Discard any stale accumulation.
+        engine.take_sp_time();
+        engine.take_dp_searches();
         let viterbi_start = StageTimer::start();
-        let out = engine.try_find_path(ctx.net, &pts, layers, &mut model);
+        let out = drive(engine, &pts, layers, &mut model);
         stats.viterbi_time_s = viterbi_start.elapsed_s();
         stats.sp_time_s = engine.take_sp_time();
+        stats.dp_searches = engine.take_dp_searches();
         let cache_after = engine.cache_stats_detailed();
         stats.cache_hits = cache_after.hits - cache_before.hits;
         stats.cache_warm_hits = cache_after.warm_hits - cache_before.warm_hits;
@@ -708,12 +789,7 @@ impl LhmmModel {
             engine.put_trans_scratch(scratch);
         }
 
-        let out = out?;
-        let result = MatchResult {
-            path: out.path,
-            candidate_sets: Some(candidate_sets),
-        };
-        Ok((result, stats))
+        Ok((out?, candidate_sets, stats))
     }
 }
 

@@ -9,9 +9,10 @@
 //! is also why the offline matcher remains the accuracy reference.
 
 use crate::error::{sanitize_prob, Degradation, MatchError};
-use crate::types::{Candidate, HmmProbabilities, RouteInfo};
+use crate::types::{Candidate, HmmProbabilities};
+use crate::viterbi::ForwardStep;
 use lhmm_geo::Point;
-use lhmm_network::backend::{SpEngine, SpHandle};
+use lhmm_network::backend::SpHandle;
 use lhmm_network::graph::{RoadNetwork, SegmentId};
 use lhmm_network::path::Path;
 use lhmm_network::sp_cache::SpCache;
@@ -178,7 +179,11 @@ impl std::error::Error for SnapshotError {}
 /// Incremental HMM state over one in-progress trajectory.
 pub struct StreamingEngine<'a> {
     net: &'a RoadNetwork,
-    sp: SpEngine,
+    /// The forward step [`crate::viterbi::HmmEngine`] runs, so both engines
+    /// extend the DP identically.
+    forward: ForwardStep,
+    /// Reused `W` buffer (streaming has no Algorithm 2 to keep it for).
+    w: Vec<f64>,
     sp_cache: SpCache,
     /// Commit lag in observations: a candidate is fixed once `lag` newer
     /// observations have arrived. 0 commits greedily every step.
@@ -209,7 +214,8 @@ impl<'a> StreamingEngine<'a> {
     pub fn with_backend(net: &'a RoadNetwork, lag: usize, sp: &SpHandle) -> Self {
         StreamingEngine {
             net,
-            sp: sp.engine(net),
+            forward: ForwardStep::new(net, sp),
+            w: Vec::new(),
             sp_cache: SpCache::with_backend(net, 100_000, sp),
             lag,
             max_route_factor: 4.0,
@@ -255,7 +261,7 @@ impl<'a> StreamingEngine<'a> {
     /// callers skip the unmatched observation and keep streaming (the same
     /// degradation the offline candidate preparation applies by dropping
     /// such points).
-    pub fn push<M: HmmProbabilities>(
+    pub fn push<M: HmmProbabilities + ?Sized>(
         &mut self,
         pos: Point,
         t: f64,
@@ -274,54 +280,17 @@ impl<'a> StreamingEngine<'a> {
         } else {
             let bound =
                 self.pts[i - 1].0.distance(pos) * self.max_route_factor + self.route_slack;
-            let prev_layer = &self.layers[i - 1];
-            let mut f_i = vec![f64::NEG_INFINITY; candidates.len()];
-            let mut pre_i = vec![None; candidates.len()];
-            for (j, prev) in prev_layer.iter().enumerate() {
-                let prev_seg = self.net.segment(prev.seg);
-                let head = prev_seg.length * (1.0 - prev.t);
-                let targets: Vec<_> = candidates
-                    .iter()
-                    .map(|c| self.net.segment(c.seg).from)
-                    .collect();
-                let routes = self
-                    .sp
-                    .node_to_nodes(self.net, prev_seg.to, &targets, bound);
-                for (k, cur) in candidates.iter().enumerate() {
-                    let info = if cur.seg == prev.seg && cur.t >= prev.t {
-                        RouteInfo {
-                            found: true,
-                            length: prev_seg.length * (cur.t - prev.t),
-                            segments: vec![prev.seg],
-                        }
-                    } else {
-                        match &routes[k] {
-                            Some(r) => {
-                                let tail = self.net.segment(cur.seg).length * cur.t;
-                                let mut segments = Vec::with_capacity(r.segments.len() + 2);
-                                segments.push(prev.seg);
-                                segments.extend_from_slice(&r.segments);
-                                segments.push(cur.seg);
-                                RouteInfo {
-                                    found: true,
-                                    length: head + r.length + tail,
-                                    segments,
-                                }
-                            }
-                            None => RouteInfo::missing(),
-                        }
-                    };
-                    let w = sanitize_prob(
-                        model.transition(i, prev, cur, &info) * cur.obs,
-                        &mut self.degradation,
-                    );
-                    let score = self.f[i - 1][j] + w;
-                    if score > f_i[k] {
-                        f_i[k] = score;
-                        pre_i[k] = Some(j);
-                    }
-                }
-            }
+            let (f_i, pre_i) = self.forward.run(
+                self.net,
+                model,
+                i,
+                bound,
+                &self.layers[i - 1],
+                &self.f[i - 1],
+                &candidates,
+                &mut self.w,
+                &mut self.degradation,
+            );
             self.f.push(f_i);
             self.pre.push(pre_i);
         }

@@ -21,7 +21,9 @@ use lhmm_cellsim::tower::TowerId;
 use lhmm_cellsim::traj::TrajectoryRecord;
 use lhmm_graph::encoder::Embeddings;
 use lhmm_network::graph::{RoadNetwork, SegmentId};
+use lhmm_geo::polyline::TurnAccumulator;
 use lhmm_network::path::total_turn_of;
+use lhmm_network::shortest_path::NO_ENTRY;
 use lhmm_network::sp_cache::SpCache;
 use lhmm_network::spatial::SpatialIndex;
 use lhmm_neural::layers::{Activation, AdditiveAttention, Mlp};
@@ -35,6 +37,7 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 
 use crate::observation::{tower_rows, ScorerStats};
+use crate::types::LayerRoutes;
 
 /// Transition-learner hyperparameters.
 #[derive(Clone, Debug)]
@@ -289,8 +292,14 @@ pub fn explicit_features(
     route_len: f64,
     route_segs: &[SegmentId],
 ) -> [f32; N_EXPLICIT] {
+    features_with_turn(d_straight, dt, route_len, total_turn_of(net, route_segs))
+}
+
+/// [`explicit_features`] for a route whose total turn (radians) is already
+/// known.
+fn features_with_turn(d_straight: f64, dt: f64, route_len: f64, turn: f64) -> [f32; N_EXPLICIT] {
     let dev = ((d_straight - route_len).abs() / d_straight.max(100.0)) as f32;
-    let turn = total_turn_of(net, route_segs) as f32;
+    let turn = turn as f32;
     /// Typical urban travel speed used to convert elapsed time into an
     /// expected movement, m/s.
     const TYPICAL_SPEED: f64 = 10.0;
@@ -333,6 +342,10 @@ pub struct TrajTransScorer<'a> {
     stats: ScorerStats,
     /// Reused between `route_relevance` calls for the missing-road set.
     missing_buf: Vec<SegmentId>,
+    /// Per forest entry of the current layer: the Eq. 11 relevance sum and
+    /// the turn accumulator of the route prefix ending there.
+    rel_prefix: Vec<f32>,
+    turn_prefix: Vec<TurnAccumulator>,
 }
 
 impl<'a> TrajTransScorer<'a> {
@@ -387,6 +400,8 @@ impl<'a> TrajTransScorer<'a> {
             scalar,
             stats: ScorerStats::default(),
             missing_buf: Vec::new(),
+            rel_prefix: Vec::new(),
+            turn_prefix: Vec::new(),
         }
     }
 
@@ -529,8 +544,103 @@ impl<'a> TrajTransScorer<'a> {
         p
     }
 
+    /// Whether this scorer runs the scalar reference path.
+    pub fn is_scalar(&self) -> bool {
+        self.scalar
+    }
+
+    /// [`Self::transition_prob`] for every routed pair of one layer at
+    /// once; `out` is row-major over `(j, k)` like `routes`, and unrouted
+    /// pairs get 0. Bit-identical to the per-pair calls:
+    ///
+    /// - every road the layer's routes touch is scored in one Eq. 10 batch
+    ///   (rows are independent, so batch composition never changes a value);
+    /// - the Eq. 11 relevance sum and the turn accumulator are folded once
+    ///   per forest entry, from the root outward, so each route's sum sees
+    ///   the same left-to-right additions `route_relevance` and
+    ///   `total_turn_of` make over its segment list;
+    /// - all `(1 + 3)`-feature rows go through one fuse-MLP call (output rows
+    ///   are independent under the kernel contract).
+    ///
+    /// Timed once per layer; the route searches happen before the call.
+    pub fn transition_layer(
+        &mut self,
+        net: &RoadNetwork,
+        d_straight: f64,
+        dt: f64,
+        routes: &LayerRoutes,
+        out: &mut [f64],
+    ) {
+        let t0 = crate::timing::StageTimer::start();
+        let forest = routes.forest().entries();
+
+        let mut missing = std::mem::take(&mut self.missing_buf);
+        missing.clear();
+        missing.extend(
+            forest
+                .iter()
+                .map(|e| e.seg)
+                .filter(|s| !self.cache.contains_key(s)),
+        );
+        missing.sort_unstable();
+        missing.dedup();
+        if !missing.is_empty() {
+            self.compute_batch(&missing);
+        }
+        self.missing_buf = missing;
+
+        // Prefix folds; parents precede children in the forest.
+        self.rel_prefix.clear();
+        self.turn_prefix.clear();
+        for e in forest {
+            let rel = self.cache[&e.seg];
+            let (sum, mut acc) = match self.rel_prefix.get(e.parent as usize) {
+                Some(&parent_sum) => (parent_sum + rel, self.turn_prefix[e.parent as usize].clone()),
+                // A one-element `sum`: the same starting value as
+                // `route_relevance`'s fold.
+                None => (std::iter::once(rel).sum::<f32>(), TurnAccumulator::default()),
+            };
+            acc.push(net.segment_start(e.seg));
+            acc.push(net.segment_end(e.seg));
+            self.rel_prefix.push(sum);
+            self.turn_prefix.push(acc);
+        }
+
+        let rows = routes.pairs.iter().filter(|p| p.0 != NO_ENTRY).count();
+        out.fill(0.0);
+        if rows > 0 {
+            let mut x = self.scratch.take(rows, 1 + N_EXPLICIT);
+            let routed = routes.pairs.iter().filter(|p| p.0 != NO_ENTRY);
+            for (r, &(e, length)) in routed.enumerate() {
+                let at = e as usize;
+                let relevance = self.rel_prefix[at] / forest[at].depth as f32;
+                let feats = features_with_turn(d_straight, dt, length, self.turn_prefix[at].total());
+                let row = x.row_mut(r);
+                row[0] = relevance;
+                row[1..].copy_from_slice(&feats);
+            }
+            let logits =
+                self.learner
+                    .fuse_mlp
+                    .infer_with(&self.learner.fuse_store, &x, &mut self.scratch);
+            let mut rows_p = logits.data().iter();
+            for (o, p) in out.iter_mut().zip(&routes.pairs) {
+                if p.0 != NO_ENTRY {
+                    if let Some(&logit) = rows_p.next() {
+                        *o = (1.0 / (1.0 + (-logit).exp())) as f64;
+                    }
+                }
+            }
+            self.scratch.give(logits);
+            self.scratch.give(x);
+        }
+        self.stats.calls += rows as u64;
+        self.stats.time_s += t0.elapsed_s();
+    }
+
     /// Cumulative scoring statistics (`rows` counts roads scored through
-    /// Eq. 10 batches; `calls`/`time_s` cover [`Self::transition_prob`]).
+    /// Eq. 10 batches; `calls` counts scored pairs and `time_s` covers
+    /// [`Self::transition_prob`] and [`Self::transition_layer`]).
     pub fn stats(&self) -> ScorerStats {
         self.stats
     }

@@ -4,8 +4,10 @@ use crate::error::Degradation;
 use lhmm_cellsim::tower::TowerField;
 use lhmm_cellsim::traj::CellularTrajectory;
 use lhmm_geo::Point;
-use lhmm_network::graph::{RoadNetwork, SegmentId};
+use lhmm_network::backend::SpEngine;
+use lhmm_network::graph::{NodeId, RoadNetwork, SegmentId};
 use lhmm_network::path::Path;
+use lhmm_network::shortest_path::{RouteForest, NO_ENTRY};
 use lhmm_network::spatial::SpatialIndex;
 
 /// One candidate road segment for a trajectory point.
@@ -22,24 +24,134 @@ pub struct Candidate {
 }
 
 /// The route between two candidates, as handed to transition models.
-#[derive(Clone, Debug)]
-pub struct RouteInfo {
+#[derive(Clone, Copy, Debug)]
+pub struct RouteInfo<'a> {
     /// False when no route exists within the search bound.
     pub found: bool,
     /// Route length in meters (including partial first/last segments);
     /// meaningless when `found` is false.
     pub length: f64,
     /// Traversed segments; empty when `found` is false.
-    pub segments: Vec<SegmentId>,
+    pub segments: &'a [SegmentId],
 }
 
-impl RouteInfo {
+impl RouteInfo<'_> {
     /// The not-found sentinel.
     pub fn missing() -> Self {
         RouteInfo {
             found: false,
             length: f64::INFINITY,
-            segments: Vec::new(),
+            segments: &[],
+        }
+    }
+}
+
+/// The routes of one layer transition (`layer i-1 → layer i`), reused from
+/// layer to layer by the engine.
+///
+/// All routes out of previous-layer candidate `j` share that candidate's
+/// segment as their first segment and the one-to-many search's tree after
+/// it, so they are stored as a [`RouteForest`]: a root per `j` with a
+/// routed pair (`prev.seg`), the grafted search-tree paths under it, and
+/// one leaf per routed pair (`cur.seg`). Pair `(j, k)` points at the entry
+/// that ends its route. A route staying on `prev.seg` ends at the root
+/// itself.
+#[derive(Clone, Debug, Default)]
+pub struct LayerRoutes {
+    forest: RouteForest,
+    /// Row-major `(j, k)`: the entry ending the route (or [`NO_ENTRY`]
+    /// when unroutable) and its length in meters.
+    pub(crate) pairs: Vec<(u32, f64)>,
+    n_cur: usize,
+    /// Build buffers: one search's target nodes and answers.
+    targets: Vec<Option<NodeId>>,
+    inner: Vec<Option<(u32, f64)>>,
+}
+
+impl LayerRoutes {
+    /// Refills the arena with the routes `prev_layer → cur_layer` within
+    /// `bound` meters: per previous candidate, one one-to-many search to the
+    /// start nodes of the current candidates, grafted under a root holding
+    /// `prev.seg`; per found pair, a leaf holding `cur.seg`. Lengths include
+    /// the partial first and last segments. Keeps every buffer's capacity.
+    pub fn build(
+        &mut self,
+        net: &RoadNetwork,
+        sp: &mut SpEngine,
+        prev_layer: &[Candidate],
+        cur_layer: &[Candidate],
+        bound: f64,
+    ) {
+        self.forest.clear();
+        self.pairs.clear();
+        self.n_cur = cur_layer.len();
+        for prev in prev_layer {
+            let prev_seg = net.segment(prev.seg);
+            let head = prev_seg.length * (1.0 - prev.t);
+            // Staying on (or advancing along) the same segment needs no
+            // search; every other pair needs its start node reached.
+            let stays = |cur: &Candidate| cur.seg == prev.seg && cur.t >= prev.t;
+            self.targets.clear();
+            self.targets.extend(
+                cur_layer
+                    .iter()
+                    .map(|c| (!stays(c)).then(|| net.segment(c.seg).from)),
+            );
+            let root_at = self.forest.len();
+            let root = self.forest.push(NO_ENTRY, prev.seg);
+            sp.tree_to_nodes(
+                net,
+                prev_seg.to,
+                &self.targets,
+                bound,
+                root,
+                &mut self.forest,
+                &mut self.inner,
+            );
+            let mut any_found = false;
+            for (cur, inner) in cur_layer.iter().zip(&self.inner) {
+                let pair = if stays(cur) {
+                    (root, prev_seg.length * (cur.t - prev.t))
+                } else if let Some((end, inner_len)) = *inner {
+                    let tail = net.segment(cur.seg).length * cur.t;
+                    (self.forest.push(end, cur.seg), head + inner_len + tail)
+                } else {
+                    (NO_ENTRY, f64::INFINITY)
+                };
+                any_found |= pair.0 != NO_ENTRY;
+                self.pairs.push(pair);
+            }
+            if !any_found {
+                // Keep the forest to roads some route uses.
+                self.forest.truncate(root_at);
+            }
+        }
+    }
+
+    /// The route prefixes of this layer; parents precede children.
+    pub fn forest(&self) -> &RouteForest {
+        &self.forest
+    }
+
+    /// `(entry ending the route, length)` of pair `(j, k)`, or `None` when
+    /// no route exists within the search bound.
+    pub fn pair(&self, j: usize, k: usize) -> Option<(u32, f64)> {
+        let (e, len) = self.pairs[j * self.n_cur + k];
+        (e != NO_ENTRY).then_some((e, len))
+    }
+
+    /// The route of pair `(j, k)`, with its segments written into `buf`.
+    pub fn route<'b>(&self, j: usize, k: usize, buf: &'b mut Vec<SegmentId>) -> RouteInfo<'b> {
+        match self.pair(j, k) {
+            Some((e, length)) => {
+                self.forest.segments_into(e, buf);
+                RouteInfo {
+                    found: true,
+                    length,
+                    segments: buf,
+                }
+            }
+            None => RouteInfo::missing(),
         }
     }
 }
@@ -60,6 +172,42 @@ pub trait HmmProbabilities {
         cur: &Candidate,
         route: &RouteInfo,
     ) -> f64;
+
+    /// Transition probabilities for a whole layer, row-major: entry
+    /// `j * cur_layer.len() + k` of `out` receives what
+    /// `transition(i, &prev_layer[j], &cur_layer[k], route)` returns for
+    /// the route `routes` holds for pair `(j, k)`. Overrides must return
+    /// exactly those values; they exist to share work across the layer.
+    /// The default is the per-pair loop [`transitions_per_pair`].
+    fn transition_layer(
+        &mut self,
+        i: usize,
+        prev_layer: &[Candidate],
+        cur_layer: &[Candidate],
+        routes: &LayerRoutes,
+        out: &mut [f64],
+    ) {
+        transitions_per_pair(self, i, prev_layer, cur_layer, routes, out);
+    }
+}
+
+/// The reference form of [`HmmProbabilities::transition_layer`]: one
+/// [`HmmProbabilities::transition`] call per pair, in row-major order.
+pub fn transitions_per_pair<M: HmmProbabilities + ?Sized>(
+    model: &mut M,
+    i: usize,
+    prev_layer: &[Candidate],
+    cur_layer: &[Candidate],
+    routes: &LayerRoutes,
+    out: &mut [f64],
+) {
+    let mut buf = Vec::new();
+    for (j, prev) in prev_layer.iter().enumerate() {
+        for (k, cur) in cur_layer.iter().enumerate() {
+            let route = routes.route(j, k, &mut buf);
+            out[j * cur_layer.len() + k] = model.transition(i, prev, cur, &route);
+        }
+    }
 }
 
 /// Result of matching one trajectory.
@@ -110,7 +258,8 @@ pub struct MatchStats {
     pub obs_calls: u64,
     /// Candidate rows scored through `P_O`.
     pub obs_rows: u64,
-    /// Transition scoring calls (candidate pairs).
+    /// Candidate pairs scored through the learned `P_T` (routed pairs of
+    /// the forward DP plus Algorithm 2's ad-hoc pairs).
     pub trans_calls: u64,
     /// Roads scored through the road-relevance batches of `P_T`.
     pub trans_rows: u64,
@@ -119,11 +268,18 @@ pub struct MatchStats {
     pub scratch_allocs: u64,
     /// High-water scratch-arena footprint, bytes (max over merges).
     pub scratch_bytes: u64,
-    /// Shortest-path queries answered by the worker's private cache shard.
+    /// One-to-many route searches the forward DP ran (one per
+    /// previous-layer candidate per layer). They bypass the shortest-path
+    /// cache, so the three cache counters below do not include them.
+    pub dp_searches: u64,
+    /// Point-to-point route queries of Algorithm 2 and backtracking
+    /// answered by the worker's private cache shard.
     pub cache_hits: u64,
-    /// Shortest-path queries answered by the shared warm layer.
+    /// Point-to-point route queries of Algorithm 2 and backtracking
+    /// answered by the shared warm layer.
     pub cache_warm_hits: u64,
-    /// Shortest-path queries that ran a Dijkstra search.
+    /// Point-to-point route queries of Algorithm 2 and backtracking that
+    /// ran a search.
     pub cache_misses: u64,
     /// One-time shortest-path preprocessing time for the model's backend
     /// (contraction-hierarchy build; 0 for Dijkstra). Per-model constant:
@@ -167,6 +323,7 @@ impl MatchStats {
         self.trans_rows += other.trans_rows;
         self.scratch_allocs += other.scratch_allocs;
         self.scratch_bytes = self.scratch_bytes.max(other.scratch_bytes);
+        self.dp_searches += other.dp_searches;
         self.cache_hits += other.cache_hits;
         self.cache_warm_hits += other.cache_warm_hits;
         self.cache_misses += other.cache_misses;
@@ -234,6 +391,19 @@ mod tests {
         assert!(!r.found);
         assert!(r.segments.is_empty());
         assert!(r.length.is_infinite());
+    }
+
+    #[test]
+    fn merge_sums_dp_searches() {
+        let mut a = MatchStats {
+            dp_searches: 3,
+            ..MatchStats::default()
+        };
+        a.merge(&MatchStats {
+            dp_searches: 4,
+            ..MatchStats::default()
+        });
+        assert_eq!(a.dp_searches, 7);
     }
 
     #[test]

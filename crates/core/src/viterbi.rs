@@ -7,14 +7,16 @@
 //! contributions (Eq. 13–14), with `f[c_1] = P_O(c_1)` as initialization.
 
 use crate::error::{sanitize_prob, Degradation, MatchError};
-use crate::types::{Candidate, HmmProbabilities, RouteInfo};
+use crate::types::{Candidate, HmmProbabilities, LayerRoutes, RouteInfo};
 use lhmm_geo::Point;
 use lhmm_network::graph::RoadNetwork;
 use lhmm_network::path::Path;
 use lhmm_network::backend::{SpEngine, SpHandle};
+use lhmm_network::shortest_path::Route;
 use lhmm_network::sp_cache::{SpCache, SpCacheStats, WarmLayer};
 use lhmm_neural::Scratch;
 use crate::timing::StageTimer;
+use std::cmp::Ordering;
 
 /// Engine parameters.
 #[derive(Clone, Debug)]
@@ -59,9 +61,111 @@ pub struct HmmOutput {
     pub added_candidates: Vec<(usize, Candidate)>,
 }
 
+/// One forward step of Algorithm 1 — route search from every
+/// previous-layer candidate, the layer's transitions, the max-plus update —
+/// shared by [`HmmEngine`] and the streaming engine, with the reusable
+/// route arena and search state it needs.
+pub(crate) struct ForwardStep {
+    sp: SpEngine,
+    routes: LayerRoutes,
+    /// Wall time of building the route arena (the one-to-many searches)
+    /// since the last take.
+    sp_time_s: f64,
+    /// One-to-many searches run since the last take.
+    searches: u64,
+}
+
+impl ForwardStep {
+    pub(crate) fn new(net: &RoadNetwork, sp: &SpHandle) -> Self {
+        ForwardStep {
+            sp: sp.engine(net),
+            routes: LayerRoutes::default(),
+            sp_time_s: 0.0,
+            searches: 0,
+        }
+    }
+
+    /// Search wall time accumulated since the last call, resetting it.
+    pub(crate) fn take_sp_time(&mut self) -> f64 {
+        std::mem::take(&mut self.sp_time_s)
+    }
+
+    /// Searches run since the last call, resetting the count.
+    pub(crate) fn take_searches(&mut self) -> u64 {
+        std::mem::take(&mut self.searches)
+    }
+
+    /// Extends the DP from `prev_layer` (scores `f_prev`) to `cur_layer`,
+    /// the transition into trajectory point `i`. `w` receives the
+    /// row-major `W = P_T · P_O` matrix (Eq. 13, `w[j * |cur| + k]`); the
+    /// return value is layer `i`'s scores and best predecessor indices.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn run<M: HmmProbabilities + ?Sized>(
+        &mut self,
+        net: &RoadNetwork,
+        model: &mut M,
+        i: usize,
+        bound: f64,
+        prev_layer: &[Candidate],
+        f_prev: &[f64],
+        cur_layer: &[Candidate],
+        w: &mut Vec<f64>,
+        deg: &mut Degradation,
+    ) -> (Vec<f64>, Vec<Option<usize>>) {
+        let t0 = StageTimer::start();
+        self.routes
+            .build(net, &mut self.sp, prev_layer, cur_layer, bound);
+        self.sp_time_s += t0.elapsed_s();
+        self.searches += prev_layer.len() as u64;
+        let n = cur_layer.len();
+        w.clear();
+        w.resize(prev_layer.len() * n, 0.0);
+        model.transition_layer(i, prev_layer, cur_layer, &self.routes, w);
+        let mut f_i = vec![f64::NEG_INFINITY; n];
+        let mut pre_i = vec![None; n];
+        for (j, row) in w.chunks_exact_mut(n.max(1)).enumerate() {
+            for (k, (w_jk, cur)) in row.iter_mut().zip(cur_layer).enumerate() {
+                *w_jk = sanitize_prob(*w_jk * cur.obs, deg);
+                let cand_score = f_prev[j] + *w_jk;
+                if cand_score > f_i[k] {
+                    f_i[k] = cand_score;
+                    pre_i[k] = Some(j);
+                }
+            }
+        }
+        (f_i, pre_i)
+    }
+}
+
+/// Keeps the `k` best `scores` in `out` as `(score, index)`, descending
+/// under `total_cmp` with ties to the lower index — exactly what a stable
+/// descending sort truncated to `k` keeps, without allocating (once `out`
+/// has grown to `k`) or sorting the whole list.
+fn stable_top_k(scores: impl Iterator<Item = f64>, k: usize, out: &mut Vec<(f64, usize)>) {
+    out.clear();
+    if k == 0 {
+        return;
+    }
+    for (j, s) in scores.enumerate() {
+        // The first kept score strictly below `s`: an equal score stays
+        // ahead, as it came from a lower index.
+        let pos = out
+            .iter()
+            .position(|&(kept, _)| kept.total_cmp(&s) == Ordering::Less)
+            .unwrap_or(out.len());
+        if pos >= k {
+            continue;
+        }
+        if out.len() == k {
+            out.pop();
+        }
+        out.insert(pos, (s, j));
+    }
+}
+
 /// The path-finding engine; holds reusable search state for one network.
 pub struct HmmEngine {
-    sp: SpEngine,
+    forward: ForwardStep,
     sp_cache: SpCache,
     /// Engine parameters (mutable between runs: `k`/`K` sweeps).
     pub cfg: EngineConfig,
@@ -70,11 +174,13 @@ pub struct HmmEngine {
     /// steady state).
     obs_scratch: Scratch,
     trans_scratch: Scratch,
-    /// Wall time accumulated in shortest-path searches/cache lookups since
-    /// the last [`Self::take_sp_time`].
+    /// Wall time accumulated in shortest-path cache lookups since the last
+    /// [`Self::take_sp_time`] (the forward step keeps its own).
     sp_time_s: f64,
     /// Degradation events accumulated since [`Self::take_degradation`].
     degradation: Degradation,
+    /// Eq. 20 ranking buffer, reused across candidates and trajectories.
+    rank: Vec<(f64, usize)>,
 }
 
 impl HmmEngine {
@@ -91,13 +197,14 @@ impl HmmEngine {
     /// by a shared [`WarmLayer`] for batch matching).
     pub fn with_cache(net: &RoadNetwork, cfg: EngineConfig, sp_cache: SpCache) -> Self {
         HmmEngine {
-            sp: cfg.sp.engine(net),
+            forward: ForwardStep::new(net, &cfg.sp),
             sp_cache,
             cfg,
             obs_scratch: Scratch::new(),
             trans_scratch: Scratch::new(),
             sp_time_s: 0.0,
             degradation: Degradation::default(),
+            rank: Vec::new(),
         }
     }
 
@@ -126,7 +233,13 @@ impl HmmEngine {
     /// Shortest-path wall time accumulated since the last call, resetting
     /// the counter (read once per match for [`crate::types::MatchStats`]).
     pub fn take_sp_time(&mut self) -> f64 {
-        std::mem::take(&mut self.sp_time_s)
+        std::mem::take(&mut self.sp_time_s) + self.forward.take_sp_time()
+    }
+
+    /// One-to-many searches the forward DP ran since the last call (one
+    /// per previous-layer candidate per layer), resetting the count.
+    pub fn take_dp_searches(&mut self) -> u64 {
+        self.forward.take_searches()
     }
 
     /// Degradation events (glued path gaps, clamped scores) accumulated
@@ -154,7 +267,7 @@ impl HmmEngine {
     /// candidates. Malformed input (length mismatch, empty layer) degrades
     /// to an empty output and bumps `degradation.failed_matches`; use
     /// [`Self::try_find_path`] for a typed error instead.
-    pub fn find_path<M: HmmProbabilities>(
+    pub fn find_path<M: HmmProbabilities + ?Sized>(
         &mut self,
         net: &RoadNetwork,
         pts: &[(Point, f64)],
@@ -183,7 +296,7 @@ impl HmmEngine {
     /// Never panics. Degradation events (path gaps glued across unroutable
     /// hops, non-finite model outputs clamped to zero) are accumulated and
     /// read back via [`Self::take_degradation`].
-    pub fn try_find_path<M: HmmProbabilities>(
+    pub fn try_find_path<M: HmmProbabilities + ?Sized>(
         &mut self,
         net: &RoadNetwork,
         pts: &[(Point, f64)],
@@ -218,36 +331,28 @@ impl HmmEngine {
         );
         pre.push(vec![None; layers[0].len()]);
 
-        // W matrices per transition (layer i-1 -> i), kept for Eq. 20.
-        let mut w_all: Vec<Vec<Vec<f64>>> = Vec::with_capacity(n_layers.saturating_sub(1));
+        // Row-major W matrices per transition (layer i-1 -> i), kept for
+        // Eq. 20.
+        let mut w_all: Vec<Vec<f64>> = Vec::with_capacity(n_layers.saturating_sub(1));
 
         for i in 1..n_layers {
             let bound = pts[i - 1].0.distance(pts[i].0) * self.cfg.max_route_factor
                 + self.cfg.route_slack;
-            let (prev_layer, cur_layer) = {
-                let (a, b) = layers.split_at(i);
-                (&a[i - 1], &b[0])
-            };
-            let mut w_i = vec![vec![0.0f64; cur_layer.len()]; prev_layer.len()];
-            let mut f_i = vec![f64::NEG_INFINITY; cur_layer.len()];
-            let mut pre_i = vec![None; cur_layer.len()];
-
-            for (j, prev) in prev_layer.iter().enumerate() {
-                let routes = self.routes_from(net, prev, cur_layer, bound);
-                for (k, cur) in cur_layer.iter().enumerate() {
-                    let trans = model.transition(i, prev, cur, &routes[k]);
-                    let w = sanitize_prob(trans * cur.obs, &mut deg);
-                    w_i[j][k] = w;
-                    let cand_score = f[i - 1][j] + w;
-                    if cand_score > f_i[k] {
-                        f_i[k] = cand_score;
-                        pre_i[k] = Some((i - 1, j));
-                    }
-                }
-            }
+            let mut w_i = Vec::new();
+            let (f_i, pre_i) = self.forward.run(
+                net,
+                model,
+                i,
+                bound,
+                &layers[i - 1],
+                &f[i - 1],
+                &layers[i],
+                &mut w_i,
+                &mut deg,
+            );
             w_all.push(w_i);
             f.push(f_i);
-            pre.push(pre_i);
+            pre.push(pre_i.into_iter().map(|j| j.map(|j| (i - 1, j))).collect());
         }
 
         // ------------------------------------------------------------
@@ -255,33 +360,28 @@ impl HmmEngine {
         // ------------------------------------------------------------
         let orig_len: Vec<usize> = layers.iter().map(Vec::len).collect();
         let mut added_candidates: Vec<(usize, Candidate)> = Vec::new();
+        let mut rank = std::mem::take(&mut self.rank);
         if self.cfg.shortcuts > 0 && n_layers >= 3 {
             for i in 2..n_layers {
                 let bound = pts[i - 2].0.distance(pts[i].0) * self.cfg.max_route_factor
                     + self.cfg.route_slack;
-                for k in 0..orig_len[i] {
+                let (n_j, n_l, n_k) = (orig_len[i - 2], orig_len[i - 1], orig_len[i]);
+                for k in 0..n_k {
                     // Eq. 20: rank one-hop predecessors j by the best
                     // two-step score through any middle candidate l.
-                    let mut scored: Vec<(f64, usize)> = (0..orig_len[i - 2])
-                        .map(|j| {
-                            let best = (0..orig_len[i - 1])
-                                .map(|l| w_all[i - 2][j][l] + w_all[i - 1][l][k])
-                                .fold(f64::NEG_INFINITY, f64::max);
-                            (f[i - 2][j] + best, j)
-                        })
-                        .collect();
-                    scored.sort_by(|a, b| b.0.total_cmp(&a.0));
-                    scored.truncate(self.cfg.shortcuts);
+                    let (w_jl, w_lk) = (&w_all[i - 2], &w_all[i - 1]);
+                    let scores = (0..n_j).map(|j| {
+                        let best = (0..n_l)
+                            .map(|l| w_jl[j * n_l + l] + w_lk[l * n_k + k])
+                            .fold(f64::NEG_INFINITY, f64::max);
+                        f[i - 2][j] + best
+                    });
+                    stable_top_k(scores, self.cfg.shortcuts, &mut rank);
 
-                    for &(_, j) in &scored {
+                    for &(_, j) in &rank {
                         let cj = layers[i - 2][j];
                         let ck = layers[i][k];
-                        let t0 = StageTimer::start();
-                        let route = self.sp_cache.route_between_projections(
-                            net, cj.seg, cj.t, ck.seg, ck.t, bound,
-                        );
-                        self.sp_time_s += t0.elapsed_s();
-                        let Some(route) = route else {
+                        let Some(route) = self.route_between(net, &cj, &ck, bound) else {
                             continue;
                         };
                         // Project the skipped point onto the shortcut to
@@ -302,12 +402,16 @@ impl HmmEngine {
                             t: u_proj.t,
                             obs: obs_u,
                         };
-                        let r_ju = self.route_info_between(net, &cj, &cand_u, bound);
-                        let r_uk = self.route_info_between(net, &cand_u, &ck, bound);
-                        let w1 =
-                            sanitize_prob(model.transition(i - 1, &cj, &cand_u, &r_ju) * obs_u, &mut deg);
-                        let w2 =
-                            sanitize_prob(model.transition(i, &cand_u, &ck, &r_uk) * ck.obs, &mut deg);
+                        let r_ju = self.route_between(net, &cj, &cand_u, bound);
+                        let r_uk = self.route_between(net, &cand_u, &ck, bound);
+                        let w1 = sanitize_prob(
+                            model.transition(i - 1, &cj, &cand_u, &route_info(&r_ju)) * obs_u,
+                            &mut deg,
+                        );
+                        let w2 = sanitize_prob(
+                            model.transition(i, &cand_u, &ck, &route_info(&r_uk)) * ck.obs,
+                            &mut deg,
+                        );
                         let f_new = f[i - 2][j] + w1 + w2; // Eq. 21
                         if f_new > f[i][k] {
                             layers[i - 1].push(cand_u);
@@ -323,6 +427,7 @@ impl HmmEngine {
                 }
             }
         }
+        self.rank = rank;
 
         // ------------------------------------------------------------
         // Backtracking and path assembly.
@@ -357,12 +462,7 @@ impl HmmEngine {
                 Some(p) => {
                     let bound = 10.0 * self.cfg.route_slack
                         + self.cfg.max_route_factor * net.bbox().width().max(net.bbox().height());
-                    let t0 = StageTimer::start();
-                    let route = self.sp_cache.route_between_projections(
-                        net, p.seg, p.t, cand.seg, cand.t, bound,
-                    );
-                    self.sp_time_s += t0.elapsed_s();
-                    match route {
+                    match self.route_between(net, &p, &cand, bound) {
                         Some(r) => path.extend_with(&r.segments),
                         None => {
                             // No route within bound: glue the path across
@@ -386,82 +486,38 @@ impl HmmEngine {
         })
     }
 
-    /// Routes from one candidate to every candidate of the next layer in a
-    /// single one-to-many Dijkstra.
-    fn routes_from(
-        &mut self,
-        net: &RoadNetwork,
-        prev: &Candidate,
-        cur_layer: &[Candidate],
-        bound: f64,
-    ) -> Vec<RouteInfo> {
-        let prev_seg = net.segment(prev.seg);
-        let head = prev_seg.length * (1.0 - prev.t);
-        let targets: Vec<_> = cur_layer
-            .iter()
-            .map(|c| net.segment(c.seg).from)
-            .collect();
-        let t0 = StageTimer::start();
-        let inner = self
-            .sp
-            .node_to_nodes(net, prev_seg.to, &targets, bound);
-        self.sp_time_s += t0.elapsed_s();
-        cur_layer
-            .iter()
-            .zip(inner)
-            .map(|(cur, inner_route)| {
-                // Staying on (or advancing along) the same segment.
-                if cur.seg == prev.seg && cur.t >= prev.t {
-                    return RouteInfo {
-                        found: true,
-                        length: prev_seg.length * (cur.t - prev.t),
-                        segments: vec![prev.seg],
-                    };
-                }
-                match inner_route {
-                    Some(r) => {
-                        let tail = net.segment(cur.seg).length * cur.t;
-                        let mut segments = Vec::with_capacity(r.segments.len() + 2);
-                        segments.push(prev.seg);
-                        segments.extend_from_slice(&r.segments);
-                        segments.push(cur.seg);
-                        RouteInfo {
-                            found: true,
-                            length: head + r.length + tail,
-                            segments,
-                        }
-                    }
-                    None => RouteInfo::missing(),
-                }
-            })
-            .collect()
-    }
-
-    fn route_info_between(
+    /// Point-to-point route between two candidates' projections through
+    /// the cache (Algorithm 2 and backtracking), timed as route search.
+    fn route_between(
         &mut self,
         net: &RoadNetwork,
         a: &Candidate,
         b: &Candidate,
         bound: f64,
-    ) -> RouteInfo {
+    ) -> Option<Route> {
         let t0 = StageTimer::start();
         let route = self
             .sp_cache
             .route_between_projections(net, a.seg, a.t, b.seg, b.t, bound);
         self.sp_time_s += t0.elapsed_s();
-        match route {
-            Some(r) => RouteInfo {
-                found: true,
-                length: r.length,
-                segments: r.segments,
-            },
-            None => RouteInfo::missing(),
-        }
+        route
     }
 
     /// Shortest-path cache statistics `(hits, misses)`.
     pub fn cache_stats(&self) -> (u64, u64) {
         self.sp_cache.stats()
+    }
+}
+
+/// The transition-model view of a point-to-point route.
+fn route_info(route: &Option<Route>) -> RouteInfo<'_> {
+    match route {
+        Some(r) => RouteInfo {
+            found: true,
+            length: r.length,
+            segments: &r.segments,
+        },
+        None => RouteInfo::missing(),
     }
 }
 
@@ -763,6 +819,71 @@ mod tests {
         assert!(out.added_candidates.iter().all(|&(li, _)| li == 1));
     }
 
+    /// What Eq. 20's ranking kept before: a stable descending sort
+    /// truncated to `k`.
+    fn sorted_top_k(scores: &[f64], k: usize) -> Vec<(f64, usize)> {
+        let mut all: Vec<(f64, usize)> = scores.iter().copied().zip(0..).collect();
+        all.sort_by(|a, b| b.0.total_cmp(&a.0));
+        all.truncate(k);
+        all
+    }
+
+    fn top_k(scores: &[f64], k: usize) -> Vec<(f64, usize)> {
+        let mut out = Vec::new();
+        stable_top_k(scores.iter().copied(), k, &mut out);
+        out
+    }
+
+    #[test]
+    fn stable_top_k_keeps_what_the_stable_sort_kept() {
+        let tied = [0.5, 0.9, 0.5, 0.9, 0.1, 0.9, f64::NEG_INFINITY, 0.5];
+        // K = 0 keeps nothing.
+        assert!(top_k(&tied, 0).is_empty());
+        // K = 1: the first of three tied maxima.
+        assert_eq!(top_k(&tied, 1), vec![(0.9, 1)]);
+        // K >= |layer|: everything, ties in index order.
+        let all = top_k(&tied, tied.len() + 3);
+        assert_eq!(all.len(), tied.len());
+        assert_eq!(
+            all.iter().map(|&(_, j)| j).collect::<Vec<_>>(),
+            vec![1, 3, 5, 0, 2, 7, 4, 6]
+        );
+        for k in 0..=tied.len() + 1 {
+            let (a, b) = (top_k(&tied, k), sorted_top_k(&tied, k));
+            assert_eq!(a.len(), b.len(), "k={k}");
+            for (x, y) in a.iter().zip(&b) {
+                assert_eq!((x.0.to_bits(), x.1), (y.0.to_bits(), y.1), "k={k}");
+            }
+        }
+        // All equal: the lowest indices win.
+        assert_eq!(top_k(&[0.0; 5], 2), vec![(0.0, 0), (0.0, 1)]);
+    }
+
+    #[test]
+    fn forward_dp_runs_one_search_per_previous_candidate() {
+        let net = ladder();
+        let index = SpatialIndex::build(&net, 100.0);
+        let positions = vec![
+            Point::new(10.0, 12.0),
+            Point::new(120.0, -9.0),
+            Point::new(230.0, 11.0),
+            Point::new(295.0, -5.0),
+        ];
+        let mut model = classic_for(&positions);
+        let (layers, _) = distance_layers(&net, &index, &positions, 5, 500.0, &mut model);
+        let expected: u64 = layers[..layers.len() - 1].iter().map(|l| l.len() as u64).sum();
+        let pts: Vec<(Point, f64)> = positions
+            .iter()
+            .enumerate()
+            .map(|(i, &p)| (p, i as f64 * 30.0))
+            .collect();
+        let mut engine = HmmEngine::new(&net, EngineConfig::default());
+        engine.find_path(&net, &pts, layers, &mut model);
+        // Algorithm 2's shortcut queries go through the cache, not here.
+        assert_eq!(engine.take_dp_searches(), expected);
+        assert_eq!(engine.take_dp_searches(), 0, "take resets the count");
+    }
+
     #[test]
     fn single_point_trajectory_returns_best_candidate() {
         let net = ladder();
@@ -820,8 +941,8 @@ mod prop_tests {
                 + engine.cfg.route_slack;
             let prev_cand = layers[i - 1][prev];
             for (k, cur) in layers[i].iter().enumerate() {
-                let route = engine.route_info_between(net, &prev_cand, cur, bound);
-                let w = model.transition(i, &prev_cand, cur, &route) * cur.obs;
+                let route = engine.route_between(net, &prev_cand, cur, bound);
+                let w = model.transition(i, &prev_cand, cur, &route_info(&route)) * cur.obs;
                 recurse(net, pts, layers, model, engine, i + 1, k, score + w, best);
             }
         }

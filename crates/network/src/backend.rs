@@ -9,7 +9,7 @@
 
 use crate::ch::{ChQuery, ContractionHierarchy};
 use crate::graph::{NodeId, RoadNetwork};
-use crate::shortest_path::{DijkstraEngine, Route};
+use crate::shortest_path::{DijkstraEngine, Route, RouteForest};
 use std::sync::Arc;
 
 /// Which shortest-path algorithm answers queries.
@@ -133,6 +133,32 @@ impl SpEngine {
         match self {
             SpEngine::Dijkstra(d) => d.node_to_nodes(net, source, targets, max_dist),
             SpEngine::Ch { query, ch } => query.node_to_nodes(ch, net, source, targets, max_dist),
+        }
+    }
+
+    /// One-to-many shortest routes written into a shared [`RouteForest`]
+    /// under `root`; `out[i]` is `(last entry, length)` for `targets[i]`
+    /// (`None` targets are skipped). Dijkstra grafts its search tree, so
+    /// routes share prefixes; CH appends each unpacked route as its own
+    /// chain. Same routes as [`Self::node_to_nodes`] either way.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tree_to_nodes(
+        &mut self,
+        net: &RoadNetwork,
+        source: NodeId,
+        targets: &[Option<NodeId>],
+        max_dist: f64,
+        root: u32,
+        forest: &mut RouteForest,
+        out: &mut Vec<Option<(u32, f64)>>,
+    ) {
+        match self {
+            SpEngine::Dijkstra(d) => {
+                d.tree_to_nodes(net, source, targets, max_dist, root, forest, out)
+            }
+            SpEngine::Ch { query, ch } => {
+                query.tree_to_nodes(ch, net, source, targets, max_dist, root, forest, out)
+            }
         }
     }
 }

@@ -38,7 +38,7 @@
 //! Dijkstra oracle with `total_cmp`-equality, not tolerances.
 
 use crate::graph::{NodeId, RoadNetwork, SegmentId};
-use crate::shortest_path::{Route, UNREACHABLE};
+use crate::shortest_path::{Route, RouteForest, UNREACHABLE};
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
@@ -585,6 +585,10 @@ pub struct ChQuery {
     heap_f: BinaryHeap<ChHeapEntry>,
     heap_b: BinaryHeap<ChHeapEntry>,
     unpack_stack: Vec<u32>,
+    /// Overlay-edge chain source → meet → target of the last unpack.
+    chain: Vec<u32>,
+    /// Original segments of the last unpack.
+    unpacked: Vec<SegmentId>,
 }
 
 impl ChQuery {
@@ -603,6 +607,8 @@ impl ChQuery {
             heap_f: BinaryHeap::new(),
             heap_b: BinaryHeap::new(),
             unpack_stack: Vec::new(),
+            chain: Vec::new(),
+            unpacked: Vec::new(),
         }
     }
 
@@ -805,9 +811,24 @@ impl ChQuery {
         meet: u32,
         max_dist: f64,
     ) -> Option<Route> {
+        let length = self.unpack_into_buffer(ch, net, meet, max_dist)?;
+        Some(Route {
+            segments: self.unpacked.clone(),
+            length,
+        })
+    }
 
+    /// [`Self::unpack`] into the reusable `unpacked` buffer; returns the
+    /// re-folded length, or `None` when it exceeds the bound.
+    fn unpack_into_buffer(
+        &mut self,
+        ch: &ContractionHierarchy,
+        net: &RoadNetwork,
+        meet: u32,
+        max_dist: f64,
+    ) -> Option<f64> {
         // Collect the up–down overlay-edge chain source → meet → target.
-        let mut chain: Vec<u32> = Vec::new();
+        self.chain.clear();
         let mut cur = meet;
         loop {
             let p = if self.epoch_f[cur as usize] == self.current_epoch_f {
@@ -818,10 +839,10 @@ impl ChQuery {
             if p == NO_EDGE {
                 break;
             }
-            chain.push(p);
+            self.chain.push(p);
             cur = ch.rank[ch.edges[p as usize].from as usize];
         }
-        chain.reverse();
+        self.chain.reverse();
         let mut cur = meet;
         loop {
             let p = if self.epoch_b[cur as usize] == self.current_epoch_b {
@@ -832,17 +853,17 @@ impl ChQuery {
             if p == NO_EDGE {
                 break;
             }
-            chain.push(p);
+            self.chain.push(p);
             cur = ch.rank[ch.edges[p as usize].to as usize];
         }
 
-        let mut segments: Vec<SegmentId> = Vec::new();
-        for &eid in &chain {
+        self.unpacked.clear();
+        for &eid in &self.chain {
             self.unpack_stack.clear();
             self.unpack_stack.push(eid);
             while let Some(e) = self.unpack_stack.pop() {
                 match ch.edges[e as usize].kind {
-                    EdgeKind::Original(sid) => segments.push(sid),
+                    EdgeKind::Original(sid) => self.unpacked.push(sid),
                     EdgeKind::Shortcut { left, right } => {
                         self.unpack_stack.push(right);
                         self.unpack_stack.push(left);
@@ -851,37 +872,16 @@ impl ChQuery {
             }
         }
         let mut length = 0.0f64;
-        for &sid in &segments {
+        for &sid in &self.unpacked {
             length += net.segment(sid).length;
         }
-        if length <= max_dist {
-            Some(Route { segments, length })
-        } else {
-            None
-        }
+        (length <= max_dist).then_some(length)
     }
 
-    /// One-to-many counterpart of [`Self::route`], mirroring
-    /// [`DijkstraEngine::node_to_nodes`](crate::shortest_path::DijkstraEngine::node_to_nodes).
-    ///
-    /// The forward upward search from `source` is run once to completion
-    /// (its stalled up-cone is small) and shared across all targets; each
-    /// target then only pays its own backward upward search. Per-pair
-    /// answers are identical to [`Self::route`]'s: the forward label set
-    /// here is a superset of any partially-run pairwise search, and extra
-    /// labels never beat the optimum.
-    pub fn node_to_nodes(
-        &mut self,
-        ch: &ContractionHierarchy,
-        net: &RoadNetwork,
-        source: NodeId,
-        targets: &[NodeId],
-        max_dist: f64,
-    ) -> Vec<Option<Route>> {
-        // Settle the complete forward up-cone of the source (within the
-        // pruned query bound).
+    /// Settles the complete forward up-cone of `source` within the pruned
+    /// query bound `prune` (the shared half of a one-to-many query).
+    fn forward_cone(&mut self, ch: &ContractionHierarchy, source: NodeId, prune: f64) {
         self.reset_f();
-        let prune = prune_bound(max_dist);
         let s = ch.rank[source.0 as usize];
         self.dist_f[s as usize] = 0.0;
         self.parent_f[s as usize] = NO_EDGE;
@@ -902,7 +902,81 @@ impl ChQuery {
                 }
             }
         }
+    }
 
+    /// Backward upward search from `target` against the settled forward
+    /// cone; returns the meeting rank of the best up–down path, or
+    /// `NO_NODE` when none lies within `prune`.
+    fn backward_meet(&mut self, ch: &ContractionHierarchy, target: NodeId, prune: f64) -> u32 {
+        self.reset_b();
+        let t = ch.rank[target.0 as usize];
+        self.dist_b[t as usize] = 0.0;
+        self.parent_b[t as usize] = NO_EDGE;
+        self.epoch_b[t as usize] = self.current_epoch_b;
+        self.heap_b.push(ChHeapEntry { dist: 0.0, node: t });
+        let mut best = UNREACHABLE;
+        let mut meet = NO_NODE;
+        while let Some(ChHeapEntry { dist, node }) = self.heap_b.pop() {
+            if dist > self.get_b(node) {
+                continue;
+            }
+            // All later labels are >= dist; none can improve best
+            // or come in under the pruned query bound.
+            if dist.total_cmp(&best) == Ordering::Greater || dist > prune {
+                break;
+            }
+            let other = self.get_f(node);
+            if other < UNREACHABLE {
+                let total = other + dist;
+                match total.total_cmp(&best) {
+                    Ordering::Less => {
+                        best = total;
+                        meet = node;
+                    }
+                    Ordering::Equal => {
+                        if node < meet {
+                            meet = node;
+                        }
+                    }
+                    Ordering::Greater => {}
+                }
+            }
+            if self.stalled_b(ch, node, dist) {
+                continue;
+            }
+            for i in ch.bwd_range(node) {
+                let from = ch.bwd_from[i];
+                let nd = dist + ch.bwd_w[i];
+                if nd <= prune && nd < self.get_b(from) {
+                    self.dist_b[from as usize] = nd;
+                    self.parent_b[from as usize] = ch.bwd_edges[i];
+                    self.epoch_b[from as usize] = self.current_epoch_b;
+                    self.heap_b.push(ChHeapEntry { dist: nd, node: from });
+                }
+            }
+        }
+        meet
+    }
+
+    /// One-to-many counterpart of [`Self::route`], mirroring
+    /// [`DijkstraEngine::node_to_nodes`](crate::shortest_path::DijkstraEngine::node_to_nodes).
+    ///
+    /// The forward upward search from `source` is run once to completion
+    /// (its stalled up-cone is small) and shared across all targets; each
+    /// target then only pays its own backward upward search. Per-pair
+    /// answers are identical to [`Self::route`]'s: the forward label set
+    /// here is a superset of any partially-run pairwise search, and extra
+    /// labels never beat the optimum.
+    pub fn node_to_nodes(
+        &mut self,
+        ch: &ContractionHierarchy,
+        net: &RoadNetwork,
+        source: NodeId,
+        targets: &[NodeId],
+        max_dist: f64,
+    ) -> Vec<Option<Route>> {
+        let prune = prune_bound(max_dist);
+        self.forward_cone(ch, source, prune);
         targets
             .iter()
             .map(|&target| {
@@ -912,59 +986,58 @@ impl ChQuery {
                         length: 0.0,
                     });
                 }
-                self.reset_b();
-                let t = ch.rank[target.0 as usize];
-                self.dist_b[t as usize] = 0.0;
-                self.parent_b[t as usize] = NO_EDGE;
-                self.epoch_b[t as usize] = self.current_epoch_b;
-                self.heap_b.push(ChHeapEntry { dist: 0.0, node: t });
-                let mut best = UNREACHABLE;
-                let mut meet = NO_NODE;
-                while let Some(ChHeapEntry { dist, node }) = self.heap_b.pop() {
-                    if dist > self.get_b(node) {
-                        continue;
-                    }
-                    // All later labels are >= dist; none can improve best
-                    // or come in under the pruned query bound.
-                    if dist.total_cmp(&best) == Ordering::Greater || dist > prune {
-                        break;
-                    }
-                    let other = self.get_f(node);
-                    if other < UNREACHABLE {
-                        let total = other + dist;
-                        match total.total_cmp(&best) {
-                            Ordering::Less => {
-                                best = total;
-                                meet = node;
-                            }
-                            Ordering::Equal => {
-                                if node < meet {
-                                    meet = node;
-                                }
-                            }
-                            Ordering::Greater => {}
-                        }
-                    }
-                    if self.stalled_b(ch, node, dist) {
-                        continue;
-                    }
-                    for i in ch.bwd_range(node) {
-                        let from = ch.bwd_from[i];
-                        let nd = dist + ch.bwd_w[i];
-                        if nd <= prune && nd < self.get_b(from) {
-                            self.dist_b[from as usize] = nd;
-                            self.parent_b[from as usize] = ch.bwd_edges[i];
-                            self.epoch_b[from as usize] = self.current_epoch_b;
-                            self.heap_b.push(ChHeapEntry { dist: nd, node: from });
-                        }
-                    }
-                }
+                let meet = self.backward_meet(ch, target, prune);
                 if meet == NO_NODE {
                     return None;
                 }
                 self.unpack(ch, net, meet, max_dist)
             })
             .collect()
+    }
+
+    /// [`Self::node_to_nodes`] writing into a [`RouteForest`], with the
+    /// contract of
+    /// [`DijkstraEngine::tree_to_nodes`](crate::shortest_path::DijkstraEngine::tree_to_nodes).
+    /// Unpacked routes carry no shared search tree, so each one becomes its
+    /// own chain under `root`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tree_to_nodes(
+        &mut self,
+        ch: &ContractionHierarchy,
+        net: &RoadNetwork,
+        source: NodeId,
+        targets: &[Option<NodeId>],
+        max_dist: f64,
+        root: u32,
+        forest: &mut RouteForest,
+        out: &mut Vec<Option<(u32, f64)>>,
+    ) {
+        let prune = prune_bound(max_dist);
+        self.forward_cone(ch, source, prune);
+        out.clear();
+        for &target in targets {
+            let Some(target) = target else {
+                out.push(None);
+                continue;
+            };
+            if target == source {
+                out.push(Some((root, 0.0)));
+                continue;
+            }
+            let meet = self.backward_meet(ch, target, prune);
+            let length = if meet == NO_NODE {
+                None
+            } else {
+                self.unpack_into_buffer(ch, net, meet, max_dist)
+            };
+            out.push(length.map(|length| {
+                let mut entry = root;
+                for &sid in &self.unpacked {
+                    entry = forest.push(entry, sid);
+                }
+                (entry, length)
+            }));
+        }
     }
 }
 

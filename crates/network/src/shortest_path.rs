@@ -58,6 +58,84 @@ impl PartialOrd for HeapEntry {
 
 const NO_PARENT: u32 = u32::MAX;
 
+/// Parent of a root entry in a [`RouteForest`].
+pub const NO_ENTRY: u32 = u32::MAX;
+
+/// One segment of a route prefix: the prefix ending at this entry is the
+/// prefix ending at `parent` extended by `seg`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ForestEntry {
+    /// The entry this one extends ([`NO_ENTRY`] for a root).
+    pub parent: u32,
+    /// The segment the prefix ends on.
+    pub seg: SegmentId,
+    /// Number of segments in the prefix (1 for a root).
+    pub depth: u32,
+}
+
+/// Routes stored as a forest of shared prefixes.
+///
+/// Routes out of one search share their prefixes, so storing them as parent
+/// links instead of one `Vec` per route costs one entry per distinct
+/// prefix. Every entry is pushed after its parent, so a single in-order
+/// pass over [`Self::entries`] can fold any per-prefix quantity from the
+/// roots outward. The buffer is meant to be cleared and refilled, keeping
+/// its capacity.
+#[derive(Clone, Debug, Default)]
+pub struct RouteForest {
+    entries: Vec<ForestEntry>,
+}
+
+impl RouteForest {
+    /// Removes every entry, keeping the allocation.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+    }
+
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True when the forest holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Drops every entry from index `len` on.
+    pub fn truncate(&mut self, len: usize) {
+        self.entries.truncate(len);
+    }
+
+    /// Appends `seg` as a child of `parent` (or a root when `parent` is
+    /// [`NO_ENTRY`]) and returns the new entry's index.
+    pub fn push(&mut self, parent: u32, seg: SegmentId) -> u32 {
+        let depth = self
+            .entries
+            .get(parent as usize)
+            .map_or(1, |p| p.depth + 1);
+        let idx = self.entries.len() as u32;
+        self.entries.push(ForestEntry { parent, seg, depth });
+        idx
+    }
+
+    /// All entries; parents precede their children.
+    pub fn entries(&self) -> &[ForestEntry] {
+        &self.entries
+    }
+
+    /// Writes the route ending at entry `e` into `out`, root first.
+    pub fn segments_into(&self, e: u32, out: &mut Vec<SegmentId>) {
+        out.clear();
+        let mut cur = e;
+        while let Some(entry) = self.entries.get(cur as usize) {
+            out.push(entry.seg);
+            cur = entry.parent;
+        }
+        out.reverse();
+    }
+}
+
 /// Reusable Dijkstra state for a fixed network.
 pub struct DijkstraEngine {
     dist: Vec<f64>,
@@ -65,6 +143,14 @@ pub struct DijkstraEngine {
     epoch: Vec<u32>,
     current_epoch: u32,
     heap: BinaryHeap<HeapEntry>,
+    /// Per-node label with its own epoch stamp: the number of targets still
+    /// waiting on a node during a search, then the node's forest entry
+    /// while a search tree is grafted into a [`RouteForest`].
+    label: Vec<u32>,
+    label_epoch: Vec<u32>,
+    current_label: u32,
+    /// Segments of the part of a tree path not yet in the forest.
+    graft_stack: Vec<SegmentId>,
 }
 
 impl DijkstraEngine {
@@ -77,6 +163,10 @@ impl DijkstraEngine {
             epoch: vec![0; n],
             current_epoch: 0,
             heap: BinaryHeap::new(),
+            label: vec![0; n],
+            label_epoch: vec![0; n],
+            current_label: 0,
+            graft_stack: Vec::new(),
         }
     }
 
@@ -90,6 +180,29 @@ impl DijkstraEngine {
             self.current_epoch = 1;
         }
         self.heap.clear();
+    }
+
+    /// Invalidates every node label (same wrap-around discipline as
+    /// [`Self::reset`]).
+    #[inline]
+    fn reset_labels(&mut self) {
+        self.current_label = self.current_label.wrapping_add(1);
+        if self.current_label == 0 {
+            self.label_epoch.fill(0);
+            self.current_label = 1;
+        }
+    }
+
+    /// The label of `n`, if set since the last [`Self::reset_labels`].
+    #[inline]
+    fn get_label(&self, n: NodeId) -> Option<u32> {
+        (self.label_epoch[n.idx()] == self.current_label).then(|| self.label[n.idx()])
+    }
+
+    #[inline]
+    fn set_label(&mut self, n: NodeId, v: u32) {
+        self.label[n.idx()] = v;
+        self.label_epoch[n.idx()] = self.current_label;
     }
 
     #[inline]
@@ -108,42 +221,40 @@ impl DijkstraEngine {
         self.epoch[n.idx()] = self.current_epoch;
     }
 
-    /// One-to-many shortest paths from `source` to every node in `targets`,
-    /// bounded by `max_dist` meters. Entry `i` of the result is `None` when
-    /// `targets[i]` is unreachable within the bound.
-    ///
-    /// Each returned route is the segment sequence from `source` to the
-    /// target node with its total length.
-    pub fn node_to_nodes(
+    /// Bounded search from `source` that stops once every target has been
+    /// settled. Afterwards `get_dist`/`parent_seg` describe the shortest-path
+    /// tree for the searched epoch.
+    fn search(
         &mut self,
         net: &RoadNetwork,
         source: NodeId,
-        targets: &[NodeId],
+        targets: impl Iterator<Item = NodeId>,
         max_dist: f64,
-    ) -> Vec<Option<Route>> {
+    ) {
         self.reset();
+        // Each target node's label counts the targets (duplicates allowed)
+        // it settles: one lookup per pop instead of a scan over `targets`.
+        self.reset_labels();
+        let mut remaining = 0usize;
+        for t in targets {
+            let pending = self.get_label(t).unwrap_or(0);
+            self.set_label(t, pending + 1);
+            remaining += 1;
+        }
         self.set(source, 0.0, NO_PARENT);
         self.heap.push(HeapEntry {
             dist: 0.0,
             node: source,
         });
 
-        let mut remaining: usize = {
-            // Count distinct targets not yet settled (duplicates allowed).
-            targets.len()
-        };
-        let mut settled = vec![false; targets.len()];
-
         while let Some(HeapEntry { dist, node }) = self.heap.pop() {
             if dist > self.get_dist(node) {
                 continue; // stale entry
             }
             // Settle any matching targets.
-            for (i, &t) in targets.iter().enumerate() {
-                if !settled[i] && t == node {
-                    settled[i] = true;
-                    remaining -= 1;
-                }
+            if let Some(pending) = self.get_label(node).filter(|&p| p > 0) {
+                remaining -= pending as usize;
+                self.set_label(node, 0);
             }
             if remaining == 0 {
                 break;
@@ -163,7 +274,22 @@ impl DijkstraEngine {
                 }
             }
         }
+    }
 
+    /// One-to-many shortest paths from `source` to every node in `targets`,
+    /// bounded by `max_dist` meters. Entry `i` of the result is `None` when
+    /// `targets[i]` is unreachable within the bound.
+    ///
+    /// Each returned route is the segment sequence from `source` to the
+    /// target node with its total length.
+    pub fn node_to_nodes(
+        &mut self,
+        net: &RoadNetwork,
+        source: NodeId,
+        targets: &[NodeId],
+        max_dist: f64,
+    ) -> Vec<Option<Route>> {
+        self.search(net, source, targets.iter().copied(), max_dist);
         targets
             .iter()
             .map(|&t| {
@@ -178,6 +304,62 @@ impl DijkstraEngine {
                 }
             })
             .collect()
+    }
+
+    /// [`Self::node_to_nodes`] writing the routes into `forest` instead of
+    /// one `Vec` per target: the search tree's paths to the targets are
+    /// grafted under `root` (an existing entry, or [`NO_ENTRY`]), sharing
+    /// prefixes. `out[i]` receives `(entry, length)` for `targets[i]`, where
+    /// `entry` ends the route (`root` itself for a target equal to
+    /// `source`), or `None` when unreachable within the bound or when
+    /// `targets[i]` is `None` (a target the caller does not need). The
+    /// segments and lengths are exactly those [`Self::node_to_nodes`]
+    /// returns.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tree_to_nodes(
+        &mut self,
+        net: &RoadNetwork,
+        source: NodeId,
+        targets: &[Option<NodeId>],
+        max_dist: f64,
+        root: u32,
+        forest: &mut RouteForest,
+        out: &mut Vec<Option<(u32, f64)>>,
+    ) {
+        self.search(net, source, targets.iter().flatten().copied(), max_dist);
+        // Labels now map tree nodes to their forest entries.
+        self.reset_labels();
+        self.set_label(source, root);
+        out.clear();
+        for &t in targets {
+            let found = t.filter(|&t| self.get_dist(t) < UNREACHABLE);
+            out.push(found.map(|t| (self.graft(net, t, root, forest), self.get_dist(t))));
+        }
+    }
+
+    /// Adds the tree path to `node` to `forest`, reusing every prefix
+    /// already grafted, and returns the entry that ends it. Walks the same
+    /// parent links as [`Self::reconstruct`].
+    fn graft(&mut self, net: &RoadNetwork, node: NodeId, root: u32, forest: &mut RouteForest) -> u32 {
+        self.graft_stack.clear();
+        let mut cur = node;
+        let mut entry = loop {
+            if let Some(e) = self.get_label(cur) {
+                break e;
+            }
+            let p = self.parent_seg[cur.idx()];
+            if self.epoch[cur.idx()] != self.current_epoch || p == NO_PARENT {
+                break root;
+            }
+            let sid = SegmentId(p);
+            self.graft_stack.push(sid);
+            cur = net.segment(sid).from;
+        };
+        while let Some(sid) = self.graft_stack.pop() {
+            entry = forest.push(entry, sid);
+            self.set_label(net.segment(sid).to, entry);
+        }
+        entry
     }
 
     /// Single-target convenience wrapper around [`Self::node_to_nodes`].
@@ -453,6 +635,49 @@ mod tests {
             );
         }
         assert_eq!(batch[3].as_ref().unwrap().length, 0.0);
+    }
+
+    #[test]
+    fn duplicate_and_source_targets_settle_once_each() {
+        let net = grid3();
+        let mut eng = DijkstraEngine::new(&net);
+        // Duplicates and the source itself must each be answered; a search
+        // that under-counted pending targets would stop before node 8.
+        let targets = [NodeId(4), NodeId(4), NodeId(0), NodeId(8), NodeId(4)];
+        let batch = eng.node_to_nodes(&net, NodeId(0), &targets, 10_000.0);
+        let lengths: Vec<f64> = batch.iter().map(|r| r.as_ref().unwrap().length).collect();
+        assert_eq!(lengths, vec![200.0, 200.0, 0.0, 400.0, 200.0]);
+        assert!(eng.node_to_nodes(&net, NodeId(0), &[], 10_000.0).is_empty());
+    }
+
+    #[test]
+    fn forest_shares_prefixes_of_the_search_tree() {
+        let net = grid3();
+        let mut eng = DijkstraEngine::new(&net);
+        let mut forest = RouteForest::default();
+        let mut out = Vec::new();
+        let targets = [NodeId(8), NodeId(5), NodeId(2), NodeId(0)];
+        let wanted: Vec<Option<NodeId>> = targets.iter().copied().map(Some).collect();
+        eng.tree_to_nodes(&net, NodeId(0), &wanted, 10_000.0, NO_ENTRY, &mut forest, &mut out);
+        let want = eng.node_to_nodes(&net, NodeId(0), &targets, 10_000.0);
+        let mut segs = Vec::new();
+        let mut total = 0;
+        for (got, want) in out.iter().zip(&want) {
+            let (entry, len) = got.unwrap();
+            let want = want.as_ref().unwrap();
+            assert_eq!(len, want.length);
+            if entry == NO_ENTRY {
+                assert!(want.segments.is_empty());
+                continue;
+            }
+            forest.segments_into(entry, &mut segs);
+            assert_eq!(segs, want.segments);
+            assert_eq!(forest.entries()[entry as usize].depth as usize, segs.len());
+            total += segs.len();
+        }
+        // The routes to 8, 5 and 2 overlap, so the forest is smaller than
+        // their concatenation.
+        assert!(forest.len() < total, "{} >= {total}", forest.len());
     }
 
     #[test]

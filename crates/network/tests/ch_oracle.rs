@@ -13,7 +13,8 @@ use lhmm_network::builder::NetworkBuilder;
 use lhmm_network::ch::{ChQuery, ContractionHierarchy};
 use lhmm_network::generators::{generate_city, GeneratorConfig};
 use lhmm_network::graph::RoadClass;
-use lhmm_network::shortest_path::{DijkstraEngine, UNREACHABLE};
+use lhmm_network::shortest_path::{DijkstraEngine, RouteForest, NO_ENTRY, UNREACHABLE};
+use lhmm_network::SegmentId;
 use lhmm_network::{NodeId, RoadNetwork};
 use proptest::prelude::*;
 use std::cmp::Ordering;
@@ -307,6 +308,72 @@ fn one_to_many_matches_oracle_with_duplicates_and_self() {
                 }
                 (None, None) => {}
                 _ => panic!("target {i}@{bound}: {x:?} vs {y:?}"),
+            }
+        }
+    }
+}
+
+/// Routes written into a shared forest (Dijkstra grafts its search tree,
+/// CH appends unpacked chains) read back bitwise-equal to the one-to-many
+/// `Vec` answers, under a caller root and across several searches filling
+/// the same forest.
+#[test]
+fn forest_routes_match_one_to_many_under_both_backends() {
+    let net = generate_city(&GeneratorConfig::small_test(29));
+    let n = net.num_nodes() as u32;
+    for backend in [SpBackend::Dijkstra, SpBackend::Ch] {
+        let sp = SpHandle::build(&net, backend);
+        let mut eng = sp.engine(&net);
+        let mut oracle = SpHandle::build(&net, SpBackend::Dijkstra).engine(&net);
+        let mut forest = RouteForest::default();
+        let mut out = Vec::new();
+        let mut segs = Vec::new();
+        for (si, &bound) in [800.0, 3_000.0, UNREACHABLE].iter().enumerate() {
+            let source = NodeId((si as u32 * 37 + 3) % n);
+            let targets: Vec<NodeId> = (0..12u32)
+                .map(|i| NodeId((i * 29 + si as u32 * 11) % n))
+                .chain([source, NodeId(5 % n), NodeId(5 % n)])
+                .collect();
+            // Alternate between a marker root segment and a bare forest.
+            let root = if si % 2 == 0 { forest.push(NO_ENTRY, SegmentId(0)) } else { NO_ENTRY };
+            let skip = usize::from(root != NO_ENTRY);
+            // Every third target is not wanted: it must come back `None`
+            // and leave the other answers alone.
+            let wanted: Vec<Option<NodeId>> = targets
+                .iter()
+                .enumerate()
+                .map(|(i, &t)| (i % 3 != 1).then_some(t))
+                .collect();
+            eng.tree_to_nodes(&net, source, &wanted, bound, root, &mut forest, &mut out);
+            let want = oracle.node_to_nodes(&net, source, &targets, bound);
+            assert_eq!(out.len(), want.len());
+            for (i, (got, want)) in out.iter().zip(&want).enumerate() {
+                if i % 3 == 1 {
+                    assert!(got.is_none(), "{backend:?} unwanted target {i} answered");
+                    continue;
+                }
+                match (got, want) {
+                    (Some((entry, len)), Some(r)) => {
+                        assert_eq!(len.to_bits(), r.length.to_bits(), "{backend:?} target {i}@{bound}");
+                        if *entry == NO_ENTRY {
+                            assert!(r.segments.is_empty());
+                        } else {
+                            forest.segments_into(*entry, &mut segs);
+                            assert_eq!(&segs[skip..], &r.segments[..], "{backend:?} target {i}@{bound}");
+                        }
+                    }
+                    (None, None) => {}
+                    _ => panic!("{backend:?} target {i}@{bound}: {got:?} vs {want:?}"),
+                }
+            }
+        }
+        // Parents precede children, and depths count the prefix.
+        for (idx, e) in forest.entries().iter().enumerate() {
+            if e.parent == NO_ENTRY {
+                assert_eq!(e.depth, 1);
+            } else {
+                assert!((e.parent as usize) < idx);
+                assert_eq!(e.depth, forest.entries()[e.parent as usize].depth + 1);
             }
         }
     }

@@ -149,4 +149,65 @@ fn warm_scoring_path_performs_no_heap_allocations() {
     assert!(high_water > 0, "scratch arena never used");
     // The arena itself reports the same steady state the allocator saw.
     assert!(allocs_total > 0, "warm-up never allocated — vacuous test");
+
+    // ---------------- P_T, one layer at a time ----------------
+    // The engine's forward DP scores whole layers: one Eq. 10 batch, prefix
+    // folds over the route forest, one fuse-MLP call. Once the scorer's
+    // arena, fold buffers and relevance memo are warm, a layer call is pure
+    // arithmetic too.
+    use lhmm_core::types::{Candidate, LayerRoutes};
+    let net = &ds.network;
+    let layers: Vec<Vec<Candidate>> = rec
+        .cellular
+        .points
+        .iter()
+        .map(|p| {
+            let pos = p.effective_pos();
+            ds.index
+                .k_nearest(net, pos, 8, 3_000.0)
+                .into_iter()
+                .map(|(seg, _)| Candidate {
+                    seg,
+                    t: net.project(pos, seg).t,
+                    obs: 1.0,
+                })
+                .collect::<Vec<_>>()
+        })
+        .filter(|l| !l.is_empty())
+        .collect();
+    let mut sp = SpHandle::default().engine(net);
+    let arenas: Vec<LayerRoutes> = layers
+        .windows(2)
+        .map(|w| {
+            let mut routes = LayerRoutes::default();
+            routes.build(net, &mut sp, &w[0], &w[1], 5_000.0);
+            routes
+        })
+        .collect();
+    assert!(!arenas.is_empty(), "trajectory too short for a layer transition");
+    let pairs_max = layers.windows(2).map(|w| w[0].len() * w[1].len()).max().unwrap_or(0);
+    let mut out = vec![0.0f64; pairs_max];
+    let (scratch, _) = scorer.finish();
+    let mut scorer = TrajTransScorer::with_scratch(trans, emb, &towers, scratch, false);
+    let score_layers = |scorer: &mut TrajTransScorer<'_>, out: &mut [f64]| {
+        let mut routed = 0;
+        for (routes, w) in arenas.iter().zip(layers.windows(2)) {
+            let out = &mut out[..w[0].len() * w[1].len()];
+            scorer.transition_layer(net, 700.0, 45.0, routes, out);
+            routed += out.iter().filter(|&&p| p > 0.0).count();
+        }
+        routed
+    };
+    // Priming pass: sizes the fold buffers and fills the relevance memo.
+    let routed = score_layers(&mut scorer, &mut out);
+    assert!(routed > 0, "no routed pair scored — vacuous test");
+    let before = allocs();
+    let routed_warm = score_layers(&mut scorer, &mut out);
+    let layer_delta = allocs() - before;
+    assert_eq!(routed_warm, routed);
+    assert_eq!(
+        layer_delta, 0,
+        "warm P_T layer scoring allocated {layer_delta} times over {} layers",
+        arenas.len()
+    );
 }
