@@ -21,7 +21,8 @@ run() {
 
 if [ "$fast" -eq 0 ]; then
   run cargo build --release
-  # Benches must keep compiling (they pin the scoring fast-path API).
+  # Benches must keep compiling (they drive the scorer, shortest-path,
+  # encoder, Viterbi and candidate APIs directly).
   run cargo bench --workspace --no-run
 fi
 
@@ -78,22 +79,18 @@ run env RUST_TEST_THREADS=1 cargo test -q --test batch_equivalence --test end_to
 run cargo test -q --test batch_equivalence --test end_to_end --test matcher_contract --test layer_transitions
 
 # Robustness gate: the adversarial fault-injection corpus and metamorphic
-# relations must hold in every matching mode (serial/parallel/streaming,
-# scalar/vectorized).
+# relations must hold in every matching mode (serial/parallel/streaming).
 run cargo test -q --test fault_injection --test metamorphic
 
 # SIMD-kernel exactness gate: the scoring-equivalence, fault-injection and
 # kernel-corpus suites must pass with every kernel this machine supports
 # forced via the LHMM_KERNEL startup env var (the in-process force_scope
-# arm is covered by the suites themselves). Every path is pinned bitwise
-# to the scalar reference, so these runs must be byte-identical replays.
+# arm is covered by the suites themselves). Every score is pinned bitwise
+# to the unfused reference functions, so these runs must be byte-identical
+# replays.
 for kern in $(cargo run -q -p lhmm-lint -- --kernels); do
   run env LHMM_KERNEL="$kern" cargo test -q --test scoring_equivalence --test fault_injection --test kernel_corpus
 done
-
-# The scalar-reference scoring oracle (feature-gated re-derivation of the
-# fast path) must keep agreeing wherever it is compiled in.
-run cargo test -q -p lhmm-core --features scalar-ref
 
 # Exactness gate for the contraction-hierarchy backend: property-based
 # Dijkstra-oracle equivalence (total_cmp equality, not tolerances) plus

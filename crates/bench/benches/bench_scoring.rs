@@ -1,17 +1,14 @@
-//! Scalar-reference vs vectorized scoring throughput for the learned
-//! `P_O` and `P_T` models, swept over the candidate-set size `k`.
+//! Throughput of the learned `P_O` and `P_T` scorers, swept over the
+//! candidate-set size `k` and over the SIMD kernels.
 //!
 //! One iteration = the full per-trajectory scoring workload: build the
 //! observation scorer (attention contexts for every point), score every
 //! point's `k`-candidate batch, then build the transition scorer (key
-//! projections) and evaluate a set of route windows. All modes are
-//! bit-identical by construction (see `tests/scoring_equivalence.rs` and
-//! `tests/kernel_corpus.rs`); this bench quantifies what the fast path
-//! buys — batched kernels, scratch reuse and per-trajectory context
-//! sharing vs the allocating per-row reference — and, within the fast
-//! path, what each dispatched SIMD kernel adds: the sweep runs the fused
-//! path once per kernel this machine supports (`fused_scalar`,
-//! `fused_sse2`, `fused_avx2`, `fused_neon`) via `kernel::force_scope`.
+//! projections) and evaluate a set of route windows. The sweep runs once
+//! per kernel this machine supports (`fused_scalar`, `fused_sse2`,
+//! `fused_avx2`, `fused_neon`) via `kernel::force_scope`; all kernels are
+//! bit-identical (see `tests/kernel_corpus.rs`), so the bench shows what
+//! each one buys in speed alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lhmm_cellsim::dataset::{Dataset, DatasetConfig};
@@ -20,7 +17,7 @@ use lhmm_core::lhmm::{LhmmConfig, LhmmModel};
 use lhmm_core::transition::TrajTransScorer;
 use lhmm_geo::Point;
 use lhmm_network::graph::SegmentId;
-use lhmm_neural::kernel::{self, Kernel};
+use lhmm_neural::kernel;
 use lhmm_neural::Scratch;
 
 fn bench_scoring(c: &mut Criterion) {
@@ -63,18 +60,12 @@ fn bench_scoring(c: &mut Criterion) {
             .filter(|(_, _, segs)| !segs.is_empty())
             .collect();
 
-        // `scalar` is the PR 2 per-row reference path; `fused_<kernel>` is
-        // the batched fast path once per SIMD kernel this machine supports.
-        let mut modes: Vec<(String, bool, Option<Kernel>)> = vec![("scalar".into(), true, None)];
         for kern in kernel::supported_kernels() {
-            modes.push((format!("fused_{}", kern.name()), false, Some(kern)));
-        }
-        for (mode, scalar, kern) in &modes {
             group.bench_with_input(
-                BenchmarkId::new(mode.as_str(), k),
-                scalar,
-                |b, &scalar| {
-                    let _kernel_guard = kern.and_then(kernel::force_scope);
+                BenchmarkId::new(format!("fused_{}", kern.name()), k),
+                &kern,
+                |b, &kern| {
+                    let _kernel_guard = kernel::force_scope(kern);
                     // The arena round-trips through `finish` so iterations
                     // after the first run with warm buffers — the batch
                     // matcher's steady state.
@@ -86,7 +77,6 @@ fn bench_scoring(c: &mut Criterion) {
                             emb,
                             &towers,
                             std::mem::take(&mut obs_scratch),
-                            scalar,
                         );
                         let mut acc = 0.0f32;
                         for (i, (pos, tower, segs)) in batches.iter().enumerate() {
@@ -107,7 +97,6 @@ fn bench_scoring(c: &mut Criterion) {
                             emb,
                             &towers,
                             std::mem::take(&mut trans_scratch),
-                            scalar,
                         );
                         for r in &routes {
                             acc += pt.transition_prob(&ds.network, 650.0, 40.0, 880.0, r);

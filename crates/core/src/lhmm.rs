@@ -47,16 +47,6 @@ pub struct LhmmConfig {
     pub route_factor: f64,
     /// Additive route-search slack, meters.
     pub route_slack: f64,
-    /// Route every `P_O`/`P_T` evaluation through the scalar reference
-    /// implementation instead of the vectorized fast path. Both paths are
-    /// bit-identical (pinned by `tests/scoring_equivalence.rs`); the flag
-    /// exists so the equivalence can be asserted end to end and defaults to
-    /// the `scalar-ref` feature. Orthogonally, the fast path's SIMD tier
-    /// (scalar/SSE2/AVX2/NEON — also all bit-identical) is picked at
-    /// process startup by `lhmm_neural::kernel` and can be forced with the
-    /// `LHMM_KERNEL` environment variable; `MatchStats::kernel` records
-    /// the choice.
-    pub scalar_scoring: bool,
     /// Master seed for all learners.
     pub seed: u64,
     /// Shortest-path backend used for transition routing. `Dijkstra` is
@@ -79,7 +69,6 @@ impl Default for LhmmConfig {
             max_scored: 150,
             route_factor: 4.0,
             route_slack: 3_000.0,
-            scalar_scoring: cfg!(feature = "scalar-ref"),
             seed: 0,
             sp_backend: SpBackend::Dijkstra,
         }
@@ -335,14 +324,9 @@ impl LhmmModel {
         towers: &[TowerId],
         scratch: lhmm_neural::Scratch,
     ) -> Option<ObsTrajScorer<'_>> {
-        self.obs_learner.as_ref().map(|learner| {
-            learner.traj_scorer(
-                &self.embeddings,
-                towers,
-                scratch,
-                self.config.scalar_scoring,
-            )
-        })
+        self.obs_learner
+            .as_ref()
+            .map(|learner| learner.traj_scorer(&self.embeddings, towers, scratch))
     }
 
     /// Candidate layers for one trajectory: per kept point, the top-k
@@ -540,14 +524,14 @@ impl HmmProbabilities for LhmmTrajModel<'_> {
         out: &mut [f64],
     ) {
         match self.trans_scorer.as_mut() {
-            // The learned fast path shares work across the layer; the
-            // scalar reference and the classic ablation score per pair.
-            Some(scorer) if !scorer.is_scalar() => {
+            // The learned scorer shares work across the layer; the classic
+            // ablation scores per pair.
+            Some(scorer) => {
                 let d_straight = self.positions[i - 1].distance(self.positions[i]);
                 let dt = self.times[i] - self.times[i - 1];
                 scorer.transition_layer(self.net, d_straight, dt, routes, out);
             }
-            _ => transitions_per_pair(self, i, prev_layer, cur_layer, routes, out),
+            None => transitions_per_pair(self, i, prev_layer, cur_layer, routes, out),
         }
     }
 }
@@ -727,7 +711,6 @@ impl LhmmModel {
                     &self.embeddings,
                     &towers,
                     trans_scratch,
-                    self.config.scalar_scoring,
                 )),
                 None,
             ),

@@ -363,7 +363,12 @@ impl ObservationLearner {
     }
 
     /// Final learned `P_O` (Eq. 8) for a batch of candidate segments of one
-    /// trajectory point. `context` comes from [`Self::context_row`].
+    /// trajectory point. `context` comes from [`Self::context_row`] or
+    /// [`Self::context_rows`].
+    ///
+    /// This is the unfused reference: plain matmuls, fresh allocations.
+    /// Matching scores through [`ObsTrajScorer::score_into`], which must
+    /// return the same bits; the tests compare the two.
     #[allow(clippy::too_many_arguments)] // mirrors Eq. 8's inputs one-to-one
     pub fn score(
         &self,
@@ -395,26 +400,21 @@ impl ObservationLearner {
     }
 
     /// Builds the per-trajectory scorer: computes every point's attention
-    /// context once up front (batched through the fused kernels unless
-    /// `scalar` asks for the reference path) and reuses them for all
-    /// candidate batches of the trajectory. The scratch arena is loaned in
-    /// by the caller and handed back from [`ObsTrajScorer::finish`], so a
-    /// warm arena carries across trajectories.
+    /// context once up front, batched through the fused kernels, and reuses
+    /// them for all candidate batches of the trajectory. The scratch arena
+    /// is loaned in by the caller and handed back from
+    /// [`ObsTrajScorer::finish`], so a warm arena carries across
+    /// trajectories.
     pub fn traj_scorer<'a>(
         &'a self,
         emb: &'a Embeddings,
         towers: &[TowerId],
         mut scratch: Scratch,
-        scalar: bool,
     ) -> ObsTrajScorer<'a> {
         let n = towers.len();
         let d = self.dim;
         let mut contexts = scratch.take(n, d);
-        if scalar {
-            for (i, ctx) in self.context_rows(emb, towers).iter().enumerate() {
-                contexts.row_mut(i).copy_from_slice(ctx);
-            }
-        } else if n > 0 {
+        if n > 0 {
             let mut keys = scratch.take(n, d);
             for (r, &t) in towers.iter().enumerate() {
                 keys.row_mut(r).copy_from_slice(emb.tower(t));
@@ -470,7 +470,6 @@ impl ObservationLearner {
             emb,
             contexts,
             scratch,
-            scalar,
             stats: ScorerStats::default(),
         }
     }
@@ -492,15 +491,14 @@ pub struct ScorerStats {
 /// Holds the trajectory's context matrix (attention evaluated once per
 /// point at construction) and a [`Scratch`] arena; [`Self::score_into`]
 /// then evaluates whole candidate batches through the fused kernels with
-/// zero steady-state heap allocations. With `scalar = true` every score is
-/// routed through the allocating reference implementation
-/// ([`ObservationLearner::score`]) instead — both modes are bit-identical.
+/// zero steady-state heap allocations. Every score is bit-identical to the
+/// unfused reference, [`ObservationLearner::context_rows`] followed by
+/// [`ObservationLearner::score`]; the tests hold it to that.
 pub struct ObsTrajScorer<'a> {
     learner: &'a ObservationLearner,
     emb: &'a Embeddings,
     contexts: Matrix,
     scratch: Scratch,
-    scalar: bool,
     stats: ScorerStats,
 }
 
@@ -528,51 +526,38 @@ impl<'a> ObsTrajScorer<'a> {
             return;
         }
         let t0 = crate::timing::StageTimer::start();
-        if self.scalar {
-            let scores = self.learner.score(
-                net,
-                graph,
-                self.emb,
-                self.contexts.row(point_idx),
-                pos,
-                tower,
-                segs,
-            );
-            out.extend_from_slice(&scores);
-        } else {
-            let n = segs.len();
-            let d = self.learner.dim;
-            let context = self.contexts.row(point_idx);
-            let mut cat = self.scratch.take(n, 2 * d);
-            for (r, &s) in segs.iter().enumerate() {
-                let row = cat.row_mut(r);
-                row[..d].copy_from_slice(self.emb.segment(s));
-                row[d..].copy_from_slice(context);
-            }
-            let implicit = self.learner.implicit_mlp.infer_with(
-                &self.learner.implicit_store,
-                &cat,
-                &mut self.scratch,
-            );
-            let mut x = self.scratch.take(n, 1 + N_EXPLICIT);
-            for (r, &seg) in segs.iter().enumerate() {
-                let feats = self
-                    .learner
-                    .explicit_features(net, graph, pos, tower, seg);
-                let row = x.row_mut(r);
-                row[0] = implicit.data()[r];
-                row[1..].copy_from_slice(&feats);
-            }
-            let logits =
-                self.learner
-                    .fuse_mlp
-                    .infer_with(&self.learner.fuse_store, &x, &mut self.scratch);
-            out.extend(logits.data().iter().map(|&v| 1.0 / (1.0 + (-v).exp())));
-            self.scratch.give(cat);
-            self.scratch.give(implicit);
-            self.scratch.give(x);
-            self.scratch.give(logits);
+        let n = segs.len();
+        let d = self.learner.dim;
+        let context = self.contexts.row(point_idx);
+        let mut cat = self.scratch.take(n, 2 * d);
+        for (r, &s) in segs.iter().enumerate() {
+            let row = cat.row_mut(r);
+            row[..d].copy_from_slice(self.emb.segment(s));
+            row[d..].copy_from_slice(context);
         }
+        let implicit = self.learner.implicit_mlp.infer_with(
+            &self.learner.implicit_store,
+            &cat,
+            &mut self.scratch,
+        );
+        let mut x = self.scratch.take(n, 1 + N_EXPLICIT);
+        for (r, &seg) in segs.iter().enumerate() {
+            let feats = self
+                .learner
+                .explicit_features(net, graph, pos, tower, seg);
+            let row = x.row_mut(r);
+            row[0] = implicit.data()[r];
+            row[1..].copy_from_slice(&feats);
+        }
+        let logits =
+            self.learner
+                .fuse_mlp
+                .infer_with(&self.learner.fuse_store, &x, &mut self.scratch);
+        out.extend(logits.data().iter().map(|&v| 1.0 / (1.0 + (-v).exp())));
+        self.scratch.give(cat);
+        self.scratch.give(implicit);
+        self.scratch.give(x);
+        self.scratch.give(logits);
         self.stats.time_s += t0.elapsed_s();
         self.stats.calls += 1;
         self.stats.rows += segs.len() as u64;
@@ -840,7 +825,7 @@ mod tests {
     }
 
     #[test]
-    fn traj_scorer_fast_path_is_bitwise_identical_to_scalar() {
+    fn traj_scorer_is_bitwise_identical_to_reference() {
         let (ds, graph, emb) = quick_setup();
         let learner = ObservationLearner::train(
             &ds.network,
@@ -850,22 +835,18 @@ mod tests {
             &ds.train,
             &quick_cfg(),
         );
+        let mut scratch = Scratch::new();
         for rec in ds.test.iter().take(4) {
             let towers = rec.cellular.towers();
             if towers.is_empty() {
                 continue;
             }
-            let mut scalar =
-                learner.traj_scorer(&emb, &towers, Scratch::new(), true);
-            let mut fast = learner.traj_scorer(&emb, &towers, Scratch::new(), false);
-            let (mut s_out, mut f_out) = (Vec::new(), Vec::new());
+            let contexts = learner.context_rows(&emb, &towers);
+            let mut fast = learner.traj_scorer(&emb, &towers, scratch);
+            let mut out = Vec::new();
             for (i, p) in rec.cellular.points.iter().enumerate() {
                 assert_eq!(
-                    scalar
-                        .context(i)
-                        .iter()
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>(),
+                    contexts[i].iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
                     fast.context(i)
                         .iter()
                         .map(|v| v.to_bits())
@@ -879,13 +860,15 @@ mod tests {
                     .into_iter()
                     .map(|(s, _)| s)
                     .collect();
-                scalar.score_into(&ds.network, &graph, pos, p.tower, i, &segs, &mut s_out);
-                fast.score_into(&ds.network, &graph, pos, p.tower, i, &segs, &mut f_out);
-                assert_eq!(s_out.len(), f_out.len());
-                for (a, b) in s_out.iter().zip(&f_out) {
+                let want = learner.score(&ds.network, &graph, &emb, &contexts[i], pos, p.tower, &segs);
+                fast.score_into(&ds.network, &graph, pos, p.tower, i, &segs, &mut out);
+                assert_eq!(want.len(), out.len());
+                for (a, b) in want.iter().zip(&out) {
                     assert_eq!(a.to_bits(), b.to_bits(), "P_O diverged at point {i}");
                 }
             }
+            // The next trajectory reuses the warm arena.
+            scratch = fast.finish().0;
         }
     }
 

@@ -275,6 +275,53 @@ impl TransitionLearner {
 
         learner
     }
+
+    /// Learned `P_T` (Eq. 12) of one moving path, computed unfused: Eq. 9's
+    /// attention summary and Eq. 10's relevance one road at a time through
+    /// plain matmuls, Eq. 11 as the mean over `route_segs` (0 for an empty
+    /// route), then [`explicit_features`] and the fusion MLP.
+    ///
+    /// This is the reference, the transition twin of
+    /// [`crate::observation::ObservationLearner::score`]. Matching scores
+    /// through [`TrajTransScorer`], whose per-pair and per-layer answers
+    /// must equal it bit for bit; the tests compare the two.
+    #[allow(clippy::too_many_arguments)] // mirrors Eq. 12's inputs one-to-one
+    pub fn score(
+        &self,
+        net: &RoadNetwork,
+        emb: &Embeddings,
+        towers: &[TowerId],
+        d_straight: f64,
+        dt: f64,
+        route_len: f64,
+        route_segs: &[SegmentId],
+    ) -> f32 {
+        let dim = self.dim;
+        let keys = tower_rows(emb, towers);
+        let projected = self.attention.project_keys(&self.rel_store, &keys);
+        let road_relevance = |seg: SegmentId| {
+            let q = Matrix::row_vector(emb.segment(seg).to_vec());
+            let summary = self
+                .attention
+                .infer_projected(&self.rel_store, &q, &projected, &keys);
+            let mut cat = Matrix::zeros(1, 2 * dim);
+            cat.row_mut(0)[..dim].copy_from_slice(emb.segment(seg));
+            cat.row_mut(0)[dim..].copy_from_slice(summary.row(0));
+            let logit = self.relevance_mlp.infer(&self.rel_store, &cat).data()[0];
+            1.0 / (1.0 + (-logit).exp())
+        };
+        let relevance = if route_segs.is_empty() {
+            0.0
+        } else {
+            route_segs.iter().map(|&s| road_relevance(s)).sum::<f32>() / route_segs.len() as f32
+        };
+        let feats = explicit_features(net, d_straight, dt, route_len, route_segs);
+        let mut x = Matrix::zeros(1, 1 + N_EXPLICIT);
+        x.row_mut(0)[0] = relevance;
+        x.row_mut(0)[1..].copy_from_slice(&feats);
+        let logit = self.fuse_mlp.infer(&self.fuse_store, &x);
+        1.0 / (1.0 + (-logit.data()[0]).exp())
+    }
 }
 
 /// The explicit transition features `D_T`: relative length deviation, route
@@ -315,30 +362,22 @@ fn features_with_turn(d_straight: f64, dt: f64, route_len: f64, turn: f64) -> [f
 /// Per-trajectory transition scorer with a road-relevance cache; create one
 /// per matched trajectory.
 ///
-/// Two bit-identical scoring modes exist: the scalar reference path
-/// (per-road query allocation + naive matmuls) and the vectorized fast path
-/// (batched query projection + scratch-arena buffers, no steady-state heap
-/// allocation). Equivalence is pinned by
-/// `fast_path_is_bitwise_identical_to_scalar` below and by the repo-level
-/// `tests/scoring_equivalence.rs` corpus test.
+/// Scores through batched query projections and scratch-arena buffers, with
+/// no steady-state heap allocation. Every value is bit-identical to
+/// [`TransitionLearner::score`], the unfused reference; the unit tests below
+/// and the repo-level `tests/scoring_equivalence.rs` hold it to that.
 pub struct TrajTransScorer<'a> {
     learner: &'a TransitionLearner,
     emb: &'a Embeddings,
     keys: Matrix,
-    /// `keys × W_k`, precomputed once: road-relevance attention runs for
-    /// hundreds of distinct roads against the same trajectory. In fast mode
-    /// the rows are additionally tanh-applied (the memoized key half of
-    /// [`AdditiveAttention::attend_tanh`]); in scalar mode they stay raw
-    /// for `infer_projected`.
-    projected_keys: Matrix,
-    /// Fast mode only: the tanh'd key half transposed to `p×n` once per
-    /// trajectory, feeding the SIMD-vectorizable score loop of
-    /// [`AdditiveAttention::attend_tanh_t`] (bit-identical to attending
-    /// over `projected_keys`). Empty `0×0` in scalar mode.
+    /// `tanh(keys × W_k)` transposed to `p×n`, computed once per
+    /// trajectory: road-relevance attention runs for hundreds of distinct
+    /// roads against the same trajectory. It is the memoized key half of
+    /// [`AdditiveAttention::attend_tanh`], laid out for the
+    /// SIMD-vectorizable score loop of [`AdditiveAttention::attend_tanh_t`].
     projected_keys_t: Matrix,
     cache: HashMap<SegmentId, f32>,
     scratch: Scratch,
-    scalar: bool,
     stats: ScorerStats,
     /// Reused between `route_relevance` calls for the missing-road set.
     missing_buf: Vec<SegmentId>,
@@ -350,54 +389,48 @@ pub struct TrajTransScorer<'a> {
 
 impl<'a> TrajTransScorer<'a> {
     /// Prepares the scorer for one trajectory (tower id sequence) with a
-    /// fresh scratch arena and the fast scoring path.
+    /// fresh scratch arena.
     pub fn new(
         learner: &'a TransitionLearner,
         emb: &'a Embeddings,
         towers: &[TowerId],
     ) -> Self {
-        Self::with_scratch(learner, emb, towers, Scratch::new(), false)
+        Self::with_scratch(learner, emb, towers, Scratch::new())
     }
 
     /// [`Self::new`] reusing a caller-owned scratch arena (returned by
-    /// [`Self::finish`]); `scalar` selects the reference scoring path.
+    /// [`Self::finish`]).
     pub fn with_scratch(
         learner: &'a TransitionLearner,
         emb: &'a Embeddings,
         towers: &[TowerId],
         mut scratch: Scratch,
-        scalar: bool,
     ) -> Self {
         let n = towers.len();
+        let p = learner.attention.proj_dim();
         let mut keys = scratch.take(n, learner.dim);
         for (r, &t) in towers.iter().enumerate() {
             keys.row_mut(r).copy_from_slice(emb.tower(t));
         }
-        let mut projected_keys = scratch.take(n, learner.attention.proj_dim());
+        let mut projected_keys = scratch.take(n, p);
         learner
             .attention
             .project_keys_into(&learner.rel_store, &keys, &mut projected_keys);
-        let projected_keys_t = if scalar {
-            Matrix::zeros(0, 0)
-        } else {
-            for v in projected_keys.data_mut() {
-                *v = v.tanh();
-            }
-            let mut t = scratch.take(learner.attention.proj_dim(), n);
-            projected_keys.transpose_into(&mut t);
-            t
-        };
+        for v in projected_keys.data_mut() {
+            *v = v.tanh();
+        }
+        let mut projected_keys_t = scratch.take(p, n);
+        projected_keys.transpose_into(&mut projected_keys_t);
+        scratch.give(projected_keys);
         TrajTransScorer {
             learner,
             emb,
             keys,
-            projected_keys,
             projected_keys_t,
             // Pre-reserve so cache growth during one trajectory's Viterbi
             // pass rarely reallocates.
             cache: HashMap::with_capacity(512),
             scratch,
-            scalar,
             stats: ScorerStats::default(),
             missing_buf: Vec::new(),
             rel_prefix: Vec::new(),
@@ -436,33 +469,9 @@ impl<'a> TrajTransScorer<'a> {
         let n = segs.len();
         let dim = self.learner.dim;
         self.stats.rows += n as u64;
-        if self.scalar {
-            // Reference path: per-road attention summary via the naive
-            // kernels, batched MLP pass.
-            let mut cat = Matrix::zeros(n, 2 * dim);
-            for (r, &seg) in segs.iter().enumerate() {
-                let q = Matrix::row_vector(self.emb.segment(seg).to_vec());
-                let summary = self.learner.attention.infer_projected(
-                    &self.learner.rel_store,
-                    &q,
-                    &self.projected_keys,
-                    &self.keys,
-                );
-                cat.row_mut(r)[..dim].copy_from_slice(self.emb.segment(seg));
-                cat.row_mut(r)[dim..].copy_from_slice(summary.row(0));
-            }
-            let logits = self
-                .learner
-                .relevance_mlp
-                .infer(&self.learner.rel_store, &cat);
-            for (&seg, &logit) in segs.iter().zip(logits.data()) {
-                self.cache.insert(seg, 1.0 / (1.0 + (-logit).exp()));
-            }
-            return;
-        }
-        // Fast path (Eq. 9): project every road query in one batched
-        // matmul, memoize the tanh halves, then attend per row into the
-        // concat buffer directly.
+        // Eq. 9: project every road query in one batched matmul, memoize
+        // the tanh halves, then attend per row into the concat buffer
+        // directly.
         let mut queries = self.scratch.take(n, dim);
         for (r, &seg) in segs.iter().enumerate() {
             queries.row_mut(r).copy_from_slice(self.emb.segment(seg));
@@ -519,34 +528,19 @@ impl<'a> TrajTransScorer<'a> {
         let t0 = crate::timing::StageTimer::start();
         let relevance = self.route_relevance(route_segs);
         let feats = explicit_features(net, d_straight, dt, route_len, route_segs);
-        let p = if self.scalar {
-            let mut x = Matrix::zeros(1, 1 + N_EXPLICIT);
-            x.row_mut(0)[0] = relevance;
-            x.row_mut(0)[1..].copy_from_slice(&feats);
-            let logit = self.learner.fuse_mlp.infer(&self.learner.fuse_store, &x);
-            1.0 / (1.0 + (-logit.data()[0]).exp())
-        } else {
-            let mut x = self.scratch.take(1, 1 + N_EXPLICIT);
-            x.row_mut(0)[0] = relevance;
-            x.row_mut(0)[1..].copy_from_slice(&feats);
-            let logit = self.learner.fuse_mlp.infer_with(
-                &self.learner.fuse_store,
-                &x,
-                &mut self.scratch,
-            );
-            let p = 1.0 / (1.0 + (-logit.data()[0]).exp());
-            self.scratch.give(logit);
-            self.scratch.give(x);
-            p
-        };
+        let mut x = self.scratch.take(1, 1 + N_EXPLICIT);
+        x.row_mut(0)[0] = relevance;
+        x.row_mut(0)[1..].copy_from_slice(&feats);
+        let logit = self
+            .learner
+            .fuse_mlp
+            .infer_with(&self.learner.fuse_store, &x, &mut self.scratch);
+        let p = 1.0 / (1.0 + (-logit.data()[0]).exp());
+        self.scratch.give(logit);
+        self.scratch.give(x);
         self.stats.calls += 1;
         self.stats.time_s += t0.elapsed_s();
         p
-    }
-
-    /// Whether this scorer runs the scalar reference path.
-    pub fn is_scalar(&self) -> bool {
-        self.scalar
     }
 
     /// [`Self::transition_prob`] for every routed pair of one layer at
@@ -654,16 +648,9 @@ impl<'a> TrajTransScorer<'a> {
     /// matrices back in the pool) and the accumulated statistics.
     pub fn finish(mut self) -> (Scratch, ScorerStats) {
         let keys = std::mem::replace(&mut self.keys, Matrix::zeros(0, 0));
-        let pk = std::mem::replace(&mut self.projected_keys, Matrix::zeros(0, 0));
+        let pkt = std::mem::replace(&mut self.projected_keys_t, Matrix::zeros(0, 0));
         self.scratch.give(keys);
-        self.scratch.give(pk);
-        if !self.scalar {
-            // The transposed half only exists in fast mode; giving the
-            // scalar-mode 0×0 placeholder back would grow the pool with
-            // useless empty buffers across trajectories.
-            let pkt = std::mem::replace(&mut self.projected_keys_t, Matrix::zeros(0, 0));
-            self.scratch.give(pkt);
-        }
+        self.scratch.give(pkt);
         (self.scratch, self.stats)
     }
 }
@@ -797,7 +784,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_is_bitwise_identical_to_scalar() {
+    fn scorer_is_bitwise_identical_to_reference() {
         let (ds, emb) = quick_setup();
         let learner = TransitionLearner::train(
             &ds.network,
@@ -806,39 +793,24 @@ mod tests {
             &ds.train,
             &quick_cfg(),
         );
+        let net = &ds.network;
+        let mut scratch = Scratch::new();
         for rec in ds.test.iter().take(4) {
             let towers = rec.cellular.towers();
-            let mut scalar = TrajTransScorer::with_scratch(
-                &learner,
-                &emb,
-                &towers,
-                Scratch::new(),
-                true,
-            );
-            let mut fast = TrajTransScorer::with_scratch(
-                &learner,
-                &emb,
-                &towers,
-                Scratch::new(),
-                false,
-            );
-            // Individual road relevances (exercises singleton batches).
-            for &seg in rec.truth.segments.iter().take(6) {
-                assert_eq!(
-                    scalar.road_relevance(seg).to_bits(),
-                    fast.road_relevance(seg).to_bits(),
-                    "road relevance diverged on {seg:?}"
-                );
+            let mut fast = TrajTransScorer::with_scratch(&learner, &emb, &towers, scratch);
+            // One-road routes (singleton Eq. 10 batches), then route
+            // prefixes (multi-road batches and the relevance cache), then
+            // the empty route.
+            let singles = rec.truth.segments.iter().take(6).map(std::slice::from_ref);
+            let prefixes = [2usize, 5, rec.truth.len().min(12)]
+                .map(|end| &rec.truth.segments[..end.min(rec.truth.len())]);
+            for segs in singles.chain(prefixes).chain([&[][..]]) {
+                let want = learner.score(net, &emb, &towers, 700.0, 45.0, 900.0, segs);
+                let got = fast.transition_prob(net, 700.0, 45.0, 900.0, segs);
+                assert_eq!(want.to_bits(), got.to_bits(), "P_T diverged on {segs:?}");
             }
-            // Full transition probabilities over route prefixes (exercises
-            // multi-road batches, the cache, and the fused fuse-MLP pass).
-            for end in [2usize, 5, rec.truth.len().min(12)] {
-                let segs: Vec<SegmentId> =
-                    rec.truth.segments.iter().take(end).copied().collect();
-                let a = scalar.transition_prob(&ds.network, 700.0, 45.0, 900.0, &segs);
-                let b = fast.transition_prob(&ds.network, 700.0, 45.0, 900.0, &segs);
-                assert_eq!(a.to_bits(), b.to_bits(), "P_T diverged at prefix {end}");
-            }
+            // The next trajectory reuses the warm arena.
+            scratch = fast.finish().0;
         }
     }
 
@@ -867,7 +839,6 @@ mod tests {
                 &emb,
                 &rec.cellular.towers(),
                 scratch,
-                false,
             );
             let allocs_before = scorer.scratch_stats().0;
             let _ = scorer.transition_prob(&ds.network, 700.0, 45.0, 900.0, &segs);

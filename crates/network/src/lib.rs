@@ -19,8 +19,6 @@
 //!   two engines,
 //! * [`sp_cache::SpCache`] — the precomputation/caching layer the paper uses
 //!   to avoid repeated shortest-path searches (Section V-A2),
-//! * [`sp_table::SpTable`] — the FMM-style precomputed origin–destination
-//!   routing table,
 //! * [`path::Path`] — road-segment sequences with geometry helpers,
 //! * [`io`] — CSV import/export for real map extracts.
 //!
@@ -54,7 +52,6 @@ pub mod io;
 pub mod path;
 pub mod shortest_path;
 pub mod sp_cache;
-pub mod sp_table;
 pub mod spatial;
 pub mod tile;
 

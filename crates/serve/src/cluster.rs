@@ -412,25 +412,72 @@ impl RouterShared<'_, '_> {
             lag: entry.lag,
             version: entry.version,
         };
-        match self.rpc(tile, &open) {
-            Some(Response::Pushed { .. }) => {}
-            Some(Response::Reject(r)) => return Err(r),
-            _ => return Err(RejectReason::ShuttingDown),
-        }
-        for point in &entry.journal {
-            match self.rpc(tile, &Request::Push { client, point: *point }) {
+        'attempt: for attempt in 0..2 {
+            match self.rpc(tile, &open) {
                 Some(Response::Pushed { .. }) => {}
                 Some(Response::Reject(r)) => return Err(r),
-                // A journaled push was accepted once and replay is
-                // deterministic — anything else is a dead shard.
                 _ => return Err(RejectReason::ShuttingDown),
             }
+            for point in &entry.journal {
+                match self.rpc(tile, &Request::Push { client, point: *point }) {
+                    Some(Response::Pushed { .. }) => {}
+                    Some(Response::Reject(r)) => return Err(r),
+                    // A journaled push was accepted once and replay is
+                    // deterministic, so EmptyTrajectory (code 0) means the
+                    // shard restarted during the replay and lost the
+                    // session just opened: start over from `Open` once.
+                    Some(Response::Failed(e)) if e.code == 0 && attempt == 0 => {
+                        continue 'attempt;
+                    }
+                    // Anything else is a dead shard.
+                    _ => return Err(RejectReason::ShuttingDown),
+                }
+            }
+            if !entry.journal.is_empty() {
+                self.replays.fetch_add(1, Ordering::Relaxed);
+            }
+            entry.tile = Some(tile);
+            return Ok(());
         }
-        if !entry.journal.is_empty() {
-            self.replays.fetch_add(1, Ordering::Relaxed);
+        Err(RejectReason::ShuttingDown)
+    }
+
+    /// Finalizes `client`'s session on its shard. A journaled session no
+    /// shard holds (a failed handoff or replay left it nowhere) is
+    /// replayed onto the tile of its last accepted push first.
+    fn finish(&self, entry: &mut SessionEntry, client: u64) -> Response {
+        let tile = match (entry.tile, entry.journal.last()) {
+            (Some(tile), _) => tile,
+            (None, Some(last)) => {
+                let tile = self.topology.route(last.effective_pos());
+                if let Err(reason) = self.replay(entry, client, tile) {
+                    return Response::Reject(reason);
+                }
+                tile
+            }
+            // Opened but never successfully pushed: the empty route,
+            // exactly what finalizing a fresh engine yields.
+            (None, None) => {
+                return Response::Route {
+                    segments: Vec::new(),
+                    degraded: false,
+                }
+            }
+        };
+        for attempt in 0..2 {
+            match self.rpc(tile, &Request::Finish { client }) {
+                // The shard restarted and lost the session: rebuild it
+                // from the journal and finalize again, once.
+                Some(Response::Failed(e)) if e.code == 0 && attempt == 0 => {
+                    if let Err(reason) = self.replay(entry, client, tile) {
+                        return Response::Reject(reason);
+                    }
+                }
+                Some(resp) => return resp,
+                None => return Response::Reject(RejectReason::ShuttingDown),
+            }
         }
-        entry.tile = Some(tile);
-        Ok(())
+        Response::Reject(RejectReason::ShuttingDown)
     }
 
     /// Ensures `client`'s shard-side session lives on `target`: a no-op
@@ -574,31 +621,18 @@ impl RouterShared<'_, '_> {
             }
             Request::Finish { client } => {
                 let mut sessions = self.sessions.lock();
-                let Some(mut entry) = sessions.remove(&client) else {
+                let Some(entry) = sessions.get_mut(&client) else {
                     return Response::Failed(WireMatchError { code: 0, a: 0, b: 0 });
                 };
-                let Some(tile) = entry.tile else {
-                    // Opened but never successfully pushed: the empty
-                    // route, exactly what finalizing a fresh engine yields.
-                    return Response::Route {
-                        segments: Vec::new(),
-                        degraded: false,
-                    };
-                };
-                for attempt in 0..2 {
-                    // Finalize is a session op; see the Push arm above.
-                    // lint:allow(guard-across-blocking): intended session serialization
-                    match self.rpc(tile, &Request::Finish { client }) {
-                        Some(Response::Failed(e)) if e.code == 0 && attempt == 0 => {
-                            if let Err(reason) = self.replay(&mut entry, client, tile) {
-                                return Response::Reject(reason);
-                            }
-                        }
-                        Some(resp) => return resp,
-                        None => return Response::Reject(RejectReason::ShuttingDown),
-                    }
+                // Finalize is a session op: the session lock is held
+                // across its shard round trips, as in the Push arm above.
+                let reply = self.finish(entry, client);
+                // Only a route ends the session: after a reject the entry
+                // and its journal stay, so the client can finish again.
+                if matches!(reply, Response::Route { .. }) {
+                    sessions.remove(&client);
                 }
-                Response::Reject(RejectReason::ShuttingDown)
+                reply
             }
             Request::Ping => {
                 let sessions = self.sessions.lock().len() as u32;

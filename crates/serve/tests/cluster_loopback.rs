@@ -7,8 +7,9 @@
 //! * Streaming sessions that cross tile boundaries mid-stream (beam-state
 //!   handoff over the wire) commit and finish byte-identically to an
 //!   uninterrupted single-process session and to offline full-lag Viterbi.
-//! * Killing a shard mid-stream loses nothing: the supervisor restarts it,
-//!   the router replays its journal, and final routes are unchanged.
+//! * Killing a shard mid-stream, or right before `finish`, loses nothing:
+//!   the supervisor restarts it, the router replays its journal, and final
+//!   routes are unchanged.
 //! * The internal snapshot/restore plane is rejected at the router.
 
 use lhmm_cellsim::dataset::{Dataset, DatasetConfig};
@@ -364,6 +365,69 @@ fn shard_crash_mid_stream_recovers_with_nothing_lost() {
             "a crashed shard lost admitted work"
         );
         single.shutdown_and_drain();
+    });
+}
+
+/// A shard killed right before `finish` of a long session: the router
+/// rebuilds the session from its journal on the restarted shard, and the
+/// final route still equals offline Viterbi.
+#[test]
+fn shard_killed_before_finish_of_a_long_session_loses_nothing() {
+    let mut config = DatasetConfig::tiny_test(505);
+    // Dense cellular sampling: long sessions, so the replay behind the
+    // finish carries many journaled pushes.
+    config.sampling.cell_interval_mean = 5.0;
+    let ds = Dataset::generate(&config);
+    let registry = ModelRegistry::new(cheap_model(&ds, 505), "v1");
+    let sessions = SessionPolicy::default();
+    let (k, radius) = (sessions.k, sessions.radius);
+    let topology = ClusterTopology::build(&ds.network, &ds.index, 2, 2, radius);
+    let traj = ds
+        .test
+        .iter()
+        .map(|r| &r.cellular)
+        .max_by_key(|t| t.len())
+        .expect("non-empty test split");
+    assert!(traj.len() >= 50, "longest session has {} pushes", traj.len());
+    let offline = offline_streaming_reference(&ds, traj, k, radius);
+    assert!(!offline.is_empty(), "the offline route is empty");
+
+    thread::scope(|s| {
+        let serve = ServeCtx {
+            ctx: ctx(&ds),
+            registry: &registry,
+            scope: None,
+        };
+        let config = ClusterConfig {
+            shard: ServeConfig {
+                sessions,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let cluster = ClusterHandle::start(s, serve, &topology, config).expect("bind cluster");
+        let mut client = ServeClient::connect(cluster.addr()).expect("connect");
+        let session = 5000;
+        // Full lag: nothing commits early, so the finish carries the route.
+        client
+            .open(session, (traj.len() + 1) as u32)
+            .expect("open");
+        let mut last_tile = None;
+        for p in &traj.points {
+            match client.push(session, p) {
+                Ok(_) => last_tile = Some(topology.route(p.effective_pos())),
+                Err(ClientError::Failed(MatchError::NoCandidates | MatchError::EmptyLayer { .. })) => {}
+                Err(e) => panic!("push failed: {e}"),
+            }
+        }
+        let tile = last_tile.expect("no push was accepted");
+        assert!(cluster.kill_shard(tile), "shard {tile} was already down");
+        let reply = client.finish(session).expect("finish after kill");
+        assert_eq!(reply.segments, offline, "route diverged from offline after the kill");
+
+        let report = cluster.shutdown_and_drain();
+        assert!(report.replays >= 1, "the finish did not replay the journal");
+        assert_eq!(report.in_flight_lost(), 0, "the kill lost admitted work");
     });
 }
 

@@ -1,7 +1,7 @@
 //! Adversarial fault-injection sweep: every corpus input must come back as
 //! `Ok` or a typed [`MatchError`] — never a panic — across the serial,
-//! parallel, streaming, scalar and vectorized matching modes, and the
-//! corpus itself must be byte-reproducible from its seed.
+//! parallel and streaming matching modes, and the corpus itself must be
+//! byte-reproducible from its seed.
 
 use lhmm::cellsim::faults::{AdversarialCorpus, Fault, FaultPlan};
 use lhmm::cellsim::tower::{CellTower, TowerField, TowerId};
@@ -43,11 +43,11 @@ fn corpus_is_byte_reproducible_from_its_seed() {
     }
 }
 
-/// Serial offline matching over the full corpus, in both scoring modes.
+/// Serial offline matching over the full corpus with the learned scorers.
 /// Every case must return `Ok` or a typed error; `Ok` results must be
 /// well-formed (valid segments, candidate sets aligned to the input).
 #[test]
-fn offline_matcher_survives_corpus_in_scalar_and_vectorized_modes() {
+fn offline_matcher_survives_corpus_with_learned_scoring() {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(3002));
     let base = base_trajs(&ds, 2);
     let corpus = AdversarialCorpus::generate(&base, CORPUS_SEED);
@@ -56,42 +56,39 @@ fn offline_matcher_survives_corpus_in_scalar_and_vectorized_modes() {
         index: &ds.index,
         towers: &ds.towers,
     };
-    // Learned observation *and* transition models so both the vectorized
-    // fast path and the scalar reference are actually exercised.
-    let mut lhmm = Lhmm::train(&ds, LhmmConfig::fast_test(3002));
-    for scalar in [false, true] {
-        lhmm.config.scalar_scoring = scalar;
-        let model = lhmm.model();
-        let mut engine = HmmEngine::new(&ds.network, model.engine_config());
-        for case in &corpus.cases {
-            let verdict = model.try_match_with_engine_stats(&ctx, &case.traj, &mut engine);
-            match verdict {
-                Ok((result, stats)) => {
-                    for &seg in &result.path.segments {
-                        assert!(
-                            seg.idx() < ds.network.num_segments(),
-                            "plan {}: invalid segment",
-                            case.plan
-                        );
-                    }
-                    let sets = result.candidate_sets.expect("LHMM exposes candidate sets");
-                    assert_eq!(sets.len(), case.traj.len(), "plan {}", case.plan);
-                    // Degradation accounting must cover every dropped point.
-                    let kept = sets.iter().filter(|s| !s.is_empty()).count();
+    // Learned observation *and* transition models, so both learned
+    // scorers run on every case.
+    let lhmm = Lhmm::train(&ds, LhmmConfig::fast_test(3002));
+    let model = lhmm.model();
+    let mut engine = HmmEngine::new(&ds.network, model.engine_config());
+    for case in &corpus.cases {
+        let verdict = model.try_match_with_engine_stats(&ctx, &case.traj, &mut engine);
+        match verdict {
+            Ok((result, stats)) => {
+                for &seg in &result.path.segments {
                     assert!(
-                        stats.degradation.dropped_points as usize + kept >= case.traj.len(),
-                        "plan {}: drops unaccounted",
+                        seg.idx() < ds.network.num_segments(),
+                        "plan {}: invalid segment",
                         case.plan
                     );
                 }
-                Err(MatchError::EmptyTrajectory) => {
-                    assert_eq!(case.traj.len(), 0, "plan {}", case.plan);
-                }
-                Err(MatchError::NoCandidates) => {
-                    assert!(!case.traj.is_empty(), "plan {}", case.plan);
-                }
-                Err(e) => panic!("plan {}: unexpected error {e}", case.plan),
+                let sets = result.candidate_sets.expect("LHMM exposes candidate sets");
+                assert_eq!(sets.len(), case.traj.len(), "plan {}", case.plan);
+                // Degradation accounting must cover every dropped point.
+                let kept = sets.iter().filter(|s| !s.is_empty()).count();
+                assert!(
+                    stats.degradation.dropped_points as usize + kept >= case.traj.len(),
+                    "plan {}: drops unaccounted",
+                    case.plan
+                );
             }
+            Err(MatchError::EmptyTrajectory) => {
+                assert_eq!(case.traj.len(), 0, "plan {}", case.plan);
+            }
+            Err(MatchError::NoCandidates) => {
+                assert!(!case.traj.is_empty(), "plan {}", case.plan);
+            }
+            Err(e) => panic!("plan {}: unexpected error {e}", case.plan),
         }
     }
 }

@@ -11,11 +11,15 @@
 //! forced in the environment, covering the startup-env dispatch arm; the
 //! in-process sweep here covers the `force_scope` arm.
 
+mod oracle;
+
 use lhmm::cellsim::faults::AdversarialCorpus;
 use lhmm::core::error::MatchError;
 use lhmm::core::viterbi::HmmEngine;
 use lhmm::neural::kernel::{self, Kernel};
+use lhmm::neural::Scratch;
 use lhmm::prelude::*;
+use oracle::{check_trajectory, Checked};
 
 const CORPUS_SEED: u64 = 0x51D3;
 
@@ -106,13 +110,14 @@ fn adversarial_corpus_fingerprint_is_identical_under_every_kernel() {
     }
 }
 
-/// The same sweep with the scalar *scoring* reference path enabled: the
-/// `scalar_scoring` oracle flag and the kernel dispatch are orthogonal
-/// switches, and every combination must agree.
+/// The scoring oracle under every kernel: on a second adversarial corpus,
+/// every `P_O` and `P_T` value the matcher produces equals the unfused
+/// reference bit for bit (see `oracle/mod.rs`), whichever kernel computes
+/// it, and the verdicts agree across kernels.
 #[test]
-fn scalar_scoring_oracle_agrees_with_every_kernel() {
+fn scoring_oracle_agrees_with_every_kernel() {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(CORPUS_SEED + 1));
-    let mut model = LhmmModel::train(&ds, LhmmConfig::fast_test(CORPUS_SEED + 1));
+    let model = LhmmModel::train(&ds, LhmmConfig::fast_test(CORPUS_SEED + 1));
     let base: Vec<_> = ds.test.iter().take(2).map(|r| r.cellular.clone()).collect();
     let corpus = AdversarialCorpus::generate(&base, CORPUS_SEED + 1);
     let ctx = MatchContext {
@@ -121,25 +126,27 @@ fn scalar_scoring_oracle_agrees_with_every_kernel() {
         towers: &ds.towers,
     };
 
-    let mut fingerprints = Vec::new();
-    for scalar_scoring in [true, false] {
-        model.config.scalar_scoring = scalar_scoring;
-        for kern in kernel::supported_kernels() {
-            let _guard = kernel::force_scope(kern);
-            let mut engine = HmmEngine::new(&ds.network, model.engine_config());
-            let results: Vec<_> = corpus
-                .cases
-                .iter()
-                .map(|c| model.try_match_with_engine_stats(&ctx, &c.traj, &mut engine))
-                .collect();
-            fingerprints.push((scalar_scoring, kern, fingerprint(&results)));
-        }
-    }
-    let reference = fingerprints[0].2;
-    for (scalar_scoring, kern, fp) in fingerprints {
-        assert_eq!(
-            fp, reference,
-            "verdicts diverged at scalar_scoring={scalar_scoring}, kernel={kern:?}"
+    let mut reference = None;
+    for kern in kernel::supported_kernels() {
+        let _guard = kernel::force_scope(kern);
+        let mut engine = HmmEngine::new(&ds.network, model.engine_config());
+        let mut obs_scratch = Scratch::new();
+        let mut checked = Checked::default();
+        let verdicts: Vec<_> = corpus
+            .cases
+            .iter()
+            .map(|c| {
+                let (verdict, n) =
+                    check_trajectory(&model, &ctx, &c.traj, &mut engine, &mut obs_scratch);
+                checked.add(n);
+                verdict
+            })
+            .collect();
+        assert!(
+            checked.obs_rows > 0 && checked.layer_pairs > 0,
+            "{kern:?}: nothing was compared: {checked:?}"
         );
+        let reference = reference.get_or_insert(verdicts.clone());
+        assert_eq!(&verdicts, reference, "verdicts diverged under {kern:?}");
     }
 }

@@ -101,7 +101,7 @@ fn warm_scoring_path_performs_no_heap_allocations() {
     assert!(!routes.is_empty(), "trajectory too short for route windows");
 
     // ---------------- P_O ----------------
-    let mut obs_scorer = obs.traj_scorer(emb, &towers, Scratch::new(), false);
+    let mut obs_scorer = obs.traj_scorer(emb, &towers, Scratch::new());
     let mut out = Vec::with_capacity(32);
     // Warm-up pass: scratch buffers and the output vector get sized.
     for (i, (pos, tower, segs)) in point_batches.iter().enumerate() {
@@ -125,12 +125,12 @@ fn warm_scoring_path_performs_no_heap_allocations() {
     // Scorer A warms the shared scratch shapes; scorer B then scores *new*
     // (uncached) roads with a warm arena — the per-point steady state.
     use lhmm_core::transition::TrajTransScorer;
-    let mut warm = TrajTransScorer::with_scratch(trans, emb, &towers, Scratch::new(), false);
+    let mut warm = TrajTransScorer::with_scratch(trans, emb, &towers, Scratch::new());
     for r in &routes {
         let _ = warm.transition_prob(&ds.network, 700.0, 45.0, 900.0, r);
     }
     let (scratch, _) = warm.finish();
-    let mut scorer = TrajTransScorer::with_scratch(trans, emb, &towers, scratch, false);
+    let mut scorer = TrajTransScorer::with_scratch(trans, emb, &towers, scratch);
     // One priming call: sizes the missing-roads buffer for 6-road routes.
     let _ = scorer.transition_prob(&ds.network, 700.0, 45.0, 900.0, &routes[0]);
     let before = allocs();
@@ -188,7 +188,7 @@ fn warm_scoring_path_performs_no_heap_allocations() {
     let pairs_max = layers.windows(2).map(|w| w[0].len() * w[1].len()).max().unwrap_or(0);
     let mut out = vec![0.0f64; pairs_max];
     let (scratch, _) = scorer.finish();
-    let mut scorer = TrajTransScorer::with_scratch(trans, emb, &towers, scratch, false);
+    let mut scorer = TrajTransScorer::with_scratch(trans, emb, &towers, scratch);
     let score_layers = |scorer: &mut TrajTransScorer<'_>, out: &mut [f64]| {
         let mut routed = 0;
         for (routes, w) in arenas.iter().zip(layers.windows(2)) {

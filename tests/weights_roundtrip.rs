@@ -31,8 +31,8 @@ fn reloaded_weights_score_bit_identically() {
     {
         let obs_a = trained.observation_learner().expect("trained P_O");
         let obs_b = loaded.observation_learner().expect("loaded P_O");
-        let mut sa = obs_a.traj_scorer(trained.embeddings(), &towers, Scratch::new(), false);
-        let mut sb = obs_b.traj_scorer(loaded.embeddings(), &towers, Scratch::new(), false);
+        let mut sa = obs_a.traj_scorer(trained.embeddings(), &towers, Scratch::new());
+        let mut sb = obs_b.traj_scorer(loaded.embeddings(), &towers, Scratch::new());
         let (mut out_a, mut out_b) = (Vec::new(), Vec::new());
         for (i, p) in rec.cellular.points.iter().enumerate() {
             let pos = p.effective_pos();
@@ -64,9 +64,9 @@ fn reloaded_weights_score_bit_identically() {
     let trans_a = trained.transition_learner().expect("trained P_T");
     let trans_b = loaded.transition_learner().expect("loaded P_T");
     let mut ta =
-        TrajTransScorer::with_scratch(trans_a, trained.embeddings(), &towers, Scratch::new(), false);
+        TrajTransScorer::with_scratch(trans_a, trained.embeddings(), &towers, Scratch::new());
     let mut tb =
-        TrajTransScorer::with_scratch(trans_b, loaded.embeddings(), &towers, Scratch::new(), false);
+        TrajTransScorer::with_scratch(trans_b, loaded.embeddings(), &towers, Scratch::new());
     let mut scored_routes = 0usize;
     for window in rec.truth.segments.windows(5).step_by(5).take(10) {
         let a = ta.transition_prob(&ds.network, 650.0, 40.0, 880.0, window);
