@@ -43,11 +43,15 @@ fn bench_scoring(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("scoring_one_trajectory");
     for k in [4usize, 8, 16, 32] {
-        let batches: Vec<(Point, TowerId, Vec<SegmentId>)> = rec
+        // Each batch keeps its point's trajectory index: `score_into`
+        // reads that point's context row, and points with no segment
+        // within reach are skipped, not renumbered.
+        let batches: Vec<(usize, Point, TowerId, Vec<SegmentId>)> = rec
             .cellular
             .points
             .iter()
-            .map(|p| {
+            .enumerate()
+            .map(|(i, p)| {
                 let pos = p.effective_pos();
                 let segs: Vec<SegmentId> = ds
                     .index
@@ -55,9 +59,9 @@ fn bench_scoring(c: &mut Criterion) {
                     .into_iter()
                     .map(|(s, _)| s)
                     .collect();
-                (pos, p.tower, segs)
+                (i, pos, p.tower, segs)
             })
-            .filter(|(_, _, segs)| !segs.is_empty())
+            .filter(|(_, _, _, segs)| !segs.is_empty())
             .collect();
 
         for kern in kernel::supported_kernels() {
@@ -79,13 +83,13 @@ fn bench_scoring(c: &mut Criterion) {
                             std::mem::take(&mut obs_scratch),
                         );
                         let mut acc = 0.0f32;
-                        for (i, (pos, tower, segs)) in batches.iter().enumerate() {
+                        for (i, pos, tower, segs) in &batches {
                             po.score_into(
                                 &ds.network,
                                 model.graph(),
                                 *pos,
                                 *tower,
-                                i,
+                                *i,
                                 segs,
                                 &mut out,
                             );

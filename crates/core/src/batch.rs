@@ -3,20 +3,12 @@
 //! # Architecture
 //!
 //! [`BatchMatcher`] matches a slice of trajectories across `N` workers on
-//! `std::thread::scope` — no runtime dependencies. The design has three
+//! `std::thread::scope` — no runtime dependencies. The design has two
 //! moving parts:
 //!
-//! * **Sharded shortest-path caches.** Each worker owns a private
-//!   [`HmmEngine`] whose [`SpCache`] shard it alone mutates; there is no
-//!   locking on the hot path. All shards additionally consult a shared
-//!   read-only [`WarmLayer`] (an `Arc`) before running a Dijkstra search.
-//!
-//! * **Warm layer from candidate-pair statistics.** Before spawning, a
-//!   warmup pass samples trajectories from the batch, prepares their
-//!   candidate layers, and counts how often each `(segment end, segment
-//!   start)` node pair connects consecutive layers. The most frequent
-//!   pairs — the queries every worker is about to issue — are precomputed
-//!   once with true shortest-path searches and published to all shards.
+//! * **One route cache per worker.** Each worker owns a private
+//!   [`HmmEngine`] whose [`SpCache`](lhmm_network::sp_cache::SpCache) it
+//!   alone mutates; there is no locking on the hot path.
 //!
 //! * **Work stealing.** Workers draw trajectory indices from one shared
 //!   `AtomicUsize` (`fetch_add`), so a worker stuck on a long trajectory
@@ -31,13 +23,14 @@
 //!
 //! Result *content* is also bit-identical to a serial
 //! [`Lhmm`](crate::lhmm::Lhmm) loop, for a stronger reason than ordering:
-//! cache state cannot change answers. A [`SpCache`] entry (private or warm)
-//! only answers a query when the answer provably equals what a fresh
-//! Dijkstra search bounded by the query's own bound would return, and the
+//! cache state cannot change answers. A
+//! [`SpCache`](lhmm_network::sp_cache::SpCache) entry only answers a query
+//! when the answer provably equals what a fresh Dijkstra search bounded by
+//! the query's own bound would return, and the
 //! [`DijkstraEngine`](lhmm_network::shortest_path::DijkstraEngine) resets
 //! per query via epoch stamping. Matching is therefore a pure function of
 //! `(model, trajectory)` — worker count, scheduling order, and cache
-//! warm-up only affect speed. `tests/batch_equivalence.rs` verifies this
+//! contents only affect speed. `tests/batch_equivalence.rs` verifies this
 //! end to end for 1, 2 and 4 workers.
 
 use crate::error::{Degradation, MatchError};
@@ -45,46 +38,20 @@ use crate::lhmm::LhmmModel;
 use crate::types::{MatchContext, MatchResult, MatchStats};
 use crate::viterbi::HmmEngine;
 use lhmm_cellsim::traj::CellularTrajectory;
-use lhmm_network::graph::NodeId;
-use lhmm_network::sp_cache::{SpCache, WarmLayer};
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::thread;
 
 /// Batch-matching parameters.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct BatchConfig {
     /// Worker threads. `0` means one worker per available CPU.
     pub workers: usize,
-    /// Capacity of each worker's private cache shard, in node pairs.
-    pub cache_capacity: usize,
-    /// Maximum node pairs precomputed into the shared warm layer;
-    /// `0` disables the warmup pass entirely.
-    pub warm_pairs: usize,
-    /// How many trajectories (spread evenly across the batch) the warmup
-    /// pass samples for candidate-pair statistics.
-    pub warm_sample: usize,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        BatchConfig {
-            workers: 0,
-            cache_capacity: HmmEngine::DEFAULT_CACHE_CAPACITY,
-            warm_pairs: 20_000,
-            warm_sample: 8,
-        }
-    }
 }
 
 impl BatchConfig {
-    /// A config with an explicit worker count and defaults elsewhere.
+    /// A config with an explicit worker count.
     pub fn with_workers(workers: usize) -> Self {
-        BatchConfig {
-            workers,
-            ..Default::default()
-        }
+        BatchConfig { workers }
     }
 
     fn effective_workers(&self) -> usize {
@@ -110,11 +77,13 @@ pub struct WorkerStats {
 /// Telemetry for one batch run.
 #[derive(Clone, Debug, Default)]
 pub struct BatchStats {
-    /// One entry per worker (cache shard), in worker order.
+    /// One entry per worker, in worker order.
     pub per_worker: Vec<WorkerStats>,
-    /// Node pairs published to the shared warm layer.
+    /// Always 0 since the warm layer was removed; kept for `perfbench`;
+    /// retire in the next benchmark PR.
     pub warm_entries: usize,
-    /// Wall-clock seconds spent in the warmup pass.
+    /// Always 0 since the warm layer was removed; kept for `perfbench`;
+    /// retire in the next benchmark PR.
     pub warm_time_s: f64,
 }
 
@@ -183,32 +152,16 @@ impl<'a> BatchMatcher<'a> {
         }
         let workers = self.config.effective_workers().min(trajs.len());
 
-        let warm_start = crate::timing::StageTimer::start();
-        let warm = Arc::new(self.build_warm_layer(ctx, trajs));
-        stats.warm_entries = warm.len();
-        stats.warm_time_s = warm_start.elapsed_s();
-
         let next = AtomicUsize::new(0);
         let model = self.model;
-        let engine_cfg = self.model.engine_config();
-        let cache_capacity = self.config.cache_capacity;
 
         let mut worker_outputs: Vec<WorkerOutput> =
             thread::scope(|s| {
                 let handles: Vec<_> = (0..workers)
                     .map(|_| {
-                        let warm = Arc::clone(&warm);
                         let next = &next;
-                        let engine_cfg = engine_cfg.clone();
                         s.spawn(move || {
-                            let cache = SpCache::with_warm_layer_backend(
-                                ctx.net,
-                                cache_capacity,
-                                warm,
-                                &engine_cfg.sp,
-                            );
-                            let mut engine =
-                                HmmEngine::with_cache(ctx.net, engine_cfg, cache);
+                            let mut engine = HmmEngine::new(ctx.net, model.engine_config());
                             let mut out = Vec::new();
                             let mut wstats = WorkerStats::default();
                             loop {
@@ -273,63 +226,6 @@ impl<'a> BatchMatcher<'a> {
             .collect();
         (results, stats)
     }
-
-    /// Samples trajectories, counts consecutive candidate node pairs, and
-    /// precomputes routes for the most frequent ones.
-    ///
-    /// Pairs are keyed `(prev segment's end node, next segment's start
-    /// node)` — exactly the inner query [`SpCache`] memoizes for
-    /// projection-to-projection routes. Searches run unbounded
-    /// ([`WarmLayer::precompute_conclusive`]), so every warm entry is
-    /// conclusive (and equal to what a fresh search would return) for all
-    /// later bounds, under either shortest-path backend.
-    fn build_warm_layer(
-        &self,
-        ctx: &MatchContext<'_>,
-        trajs: &[CellularTrajectory],
-    ) -> WarmLayer {
-        if self.config.warm_pairs == 0 || self.config.warm_sample == 0 {
-            return WarmLayer::new();
-        }
-        let step = trajs.len().div_ceil(self.config.warm_sample).max(1);
-        let mut counts: HashMap<(NodeId, NodeId), u64> = HashMap::new();
-        for traj in trajs.iter().step_by(step) {
-            if traj.is_empty() {
-                continue;
-            }
-            let towers = traj.towers();
-            let mut scorer = self
-                .model
-                .obs_scorer_with(&towers, lhmm_neural::Scratch::new());
-            // Warmup only mines pair statistics; its degradation events are
-            // not part of any match result.
-            let mut warm_deg = Degradation::default();
-            let (_, layers) = self
-                .model
-                .prepare_candidates(ctx, traj, &mut scorer, &mut warm_deg);
-            for pair in layers.windows(2) {
-                for prev in &pair[0] {
-                    let from = ctx.net.segment(prev.seg).to;
-                    for cur in &pair[1] {
-                        if cur.seg == prev.seg {
-                            continue;
-                        }
-                        let to = ctx.net.segment(cur.seg).from;
-                        *counts.entry((from, to)).or_insert(0) += 1;
-                    }
-                }
-            }
-        }
-        let mut ranked: Vec<((NodeId, NodeId), u64)> = counts.into_iter().collect();
-        // Ties broken by node ids so the warm set is deterministic.
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        ranked.truncate(self.config.warm_pairs);
-        WarmLayer::precompute_conclusive(
-            ctx.net,
-            ranked.into_iter().map(|(p, _)| p),
-            self.model.sp_handle(),
-        )
-    }
 }
 
 /// One worker's output: `(input index, verdict)` pairs plus telemetry.
@@ -390,50 +286,8 @@ mod tests {
     }
 
     #[test]
-    fn warm_layer_is_used() {
-        let ds = Dataset::generate(&DatasetConfig::tiny_test(83));
-        let model = LhmmModel::train(&ds, cheap_config(83));
-        let ctx = MatchContext {
-            net: &ds.network,
-            index: &ds.index,
-            towers: &ds.towers,
-        };
-        let trajs: Vec<_> = ds.test.iter().map(|r| r.cellular.clone()).collect();
-        let batch = BatchMatcher::new(&model, BatchConfig::with_workers(1));
-        let (_, stats) = batch.match_batch(&ctx, &trajs);
-        assert!(stats.warm_entries > 0, "warmup produced no entries");
-        assert!(
-            stats.total().cache_warm_hits > 0,
-            "warm layer never answered: {:?}",
-            stats.total()
-        );
-    }
-
-    #[test]
-    fn warmup_can_be_disabled() {
-        let ds = Dataset::generate(&DatasetConfig::tiny_test(84));
-        let model = LhmmModel::train(&ds, cheap_config(84));
-        let ctx = MatchContext {
-            net: &ds.network,
-            index: &ds.index,
-            towers: &ds.towers,
-        };
-        let trajs: Vec<_> = ds.test.iter().take(3).map(|r| r.cellular.clone()).collect();
-        let cfg = BatchConfig {
-            warm_pairs: 0,
-            workers: 2,
-            ..Default::default()
-        };
-        let (results, stats) = BatchMatcher::new(&model, cfg).match_batch(&ctx, &trajs);
-        assert_eq!(results.len(), 3);
-        assert_eq!(stats.warm_entries, 0);
-        assert_eq!(stats.total().cache_warm_hits, 0);
-    }
-
-    #[test]
     fn model_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<LhmmModel>();
-        assert_send_sync::<WarmLayer>();
     }
 }

@@ -730,7 +730,7 @@ impl LhmmModel {
             obs_out: Vec::new(),
         };
 
-        let cache_before = engine.cache_stats_detailed();
+        let cache_before = engine.cache_stats();
         // Discard any stale accumulation.
         engine.take_sp_time();
         engine.take_dp_searches();
@@ -739,9 +739,8 @@ impl LhmmModel {
         stats.viterbi_time_s = viterbi_start.elapsed_s();
         stats.sp_time_s = engine.take_sp_time();
         stats.dp_searches = engine.take_dp_searches();
-        let cache_after = engine.cache_stats_detailed();
+        let cache_after = engine.cache_stats();
         stats.cache_hits = cache_after.hits - cache_before.hits;
-        stats.cache_warm_hits = cache_after.warm_hits - cache_before.warm_hits;
         stats.cache_misses = cache_after.misses - cache_before.misses;
         stats.degradation.merge(&engine.take_degradation());
 

@@ -17,8 +17,8 @@
 //! * [`lhmm`] — the [`lhmm::Lhmm`] model: training pipeline and matcher,
 //!   with ablation switches ([`lhmm::LhmmConfig`]),
 //! * [`batch`] — the parallel [`batch::BatchMatcher`]: work-stealing
-//!   workers over sharded shortest-path caches with a shared warm layer,
-//!   bit-identical to serial matching,
+//!   workers, each with a private shortest-path cache, bit-identical to
+//!   serial matching,
 //! * [`registry`] — the versioned [`registry::ModelRegistry`]: atomic hot
 //!   swap with version pinning, shadow candidate routing, and online
 //!   refresh statistics (accumulate → refresh → swap),

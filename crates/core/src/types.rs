@@ -270,13 +270,13 @@ pub struct MatchStats {
     pub scratch_bytes: u64,
     /// One-to-many route searches the forward DP ran (one per
     /// previous-layer candidate per layer). They bypass the shortest-path
-    /// cache, so the three cache counters below do not include them.
+    /// cache, so the cache counters below do not include them.
     pub dp_searches: u64,
     /// Point-to-point route queries of Algorithm 2 and backtracking
-    /// answered by the worker's private cache shard.
+    /// answered by the engine's shortest-path cache.
     pub cache_hits: u64,
-    /// Point-to-point route queries of Algorithm 2 and backtracking
-    /// answered by the shared warm layer.
+    /// Always 0 since the warm layer was removed; kept for `perfbench`;
+    /// retire in the next benchmark PR.
     pub cache_warm_hits: u64,
     /// Point-to-point route queries of Algorithm 2 and backtracking that
     /// ran a search.

@@ -13,7 +13,7 @@ use lhmm_network::graph::RoadNetwork;
 use lhmm_network::path::Path;
 use lhmm_network::backend::{SpEngine, SpHandle};
 use lhmm_network::shortest_path::Route;
-use lhmm_network::sp_cache::{SpCache, SpCacheStats, WarmLayer};
+use lhmm_network::sp_cache::{SpCache, SpCacheStats};
 use lhmm_neural::Scratch;
 use crate::timing::StageTimer;
 use std::cmp::Ordering;
@@ -187,18 +187,12 @@ impl HmmEngine {
     /// Default shortest-path cache capacity (node pairs).
     pub const DEFAULT_CACHE_CAPACITY: usize = 200_000;
 
-    /// Creates an engine for `net`.
+    /// Creates an engine for `net` with a private shortest-path cache of
+    /// [`Self::DEFAULT_CACHE_CAPACITY`] node pairs.
     pub fn new(net: &RoadNetwork, cfg: EngineConfig) -> Self {
-        let cache = SpCache::with_backend(net, Self::DEFAULT_CACHE_CAPACITY, &cfg.sp);
-        Self::with_cache(net, cfg, cache)
-    }
-
-    /// Creates an engine around a caller-built cache (e.g. a shard backed
-    /// by a shared [`WarmLayer`] for batch matching).
-    pub fn with_cache(net: &RoadNetwork, cfg: EngineConfig, sp_cache: SpCache) -> Self {
         HmmEngine {
             forward: ForwardStep::new(net, &cfg.sp),
-            sp_cache,
+            sp_cache: SpCache::with_backend(net, Self::DEFAULT_CACHE_CAPACITY, &cfg.sp),
             cfg,
             obs_scratch: Scratch::new(),
             trans_scratch: Scratch::new(),
@@ -249,15 +243,9 @@ impl HmmEngine {
         std::mem::take(&mut self.degradation)
     }
 
-    /// Copies the cache's private entries into a standalone [`WarmLayer`]
-    /// (to seed batch workers from a warmup pass).
-    pub fn cache_snapshot(&self) -> WarmLayer {
-        self.sp_cache.snapshot()
-    }
-
-    /// Cache counters split by layer (private hits / warm hits / searches).
-    pub fn cache_stats_detailed(&self) -> SpCacheStats {
-        self.sp_cache.detailed_stats()
+    /// Shortest-path cache counters (hits and searches).
+    pub fn cache_stats(&self) -> SpCacheStats {
+        self.sp_cache.stats()
     }
 
     /// Runs Algorithm 1 (+ Algorithm 2 when `cfg.shortcuts > 0`).
@@ -501,11 +489,6 @@ impl HmmEngine {
             .route_between_projections(net, a.seg, a.t, b.seg, b.t, bound);
         self.sp_time_s += t0.elapsed_s();
         route
-    }
-
-    /// Shortest-path cache statistics `(hits, misses)`.
-    pub fn cache_stats(&self) -> (u64, u64) {
-        self.sp_cache.stats()
     }
 }
 

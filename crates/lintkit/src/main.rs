@@ -23,7 +23,9 @@ MODES (default: report findings, exit 0)
                       replays the corpus through the serving scheduler
                       with a model hot swap fired mid-run, and repeats the
                       swap run as a lock-witness lane (rank-checked
-                      acquisitions, identical fingerprint)
+                      acquisitions, identical fingerprint); for the
+                      default seed the fingerprints must also equal the
+                      constants pinned in crates/lintkit/src/races.rs
     --kernels         print the SIMD kernel names this machine supports,
                       one per line (for CI loops over LHMM_KERNEL)
 
@@ -36,7 +38,7 @@ fn main() -> ExitCode {
     let mut deny = false;
     let mut write_baseline = false;
     let mut do_races = false;
-    let mut races_seed: u64 = 0xFA57;
+    let mut races_seed: u64 = races::DEFAULT_SEED;
     let mut root: Option<PathBuf> = None;
     let mut baseline: Option<PathBuf> = None;
 
@@ -169,13 +171,25 @@ fn run_races_mode(seed: u64) -> ExitCode {
         eprintln!("lhmm-lint --races: lock witness compiled in but observed no acquisitions");
         return ExitCode::FAILURE;
     }
-    if report.deterministic() {
-        println!("lhmm-lint --races: deterministic across worker counts, SP backends, kernels, and mid-corpus swaps (lock-witness lane included)");
-        ExitCode::SUCCESS
-    } else {
+    if !report.deterministic() {
         eprintln!("lhmm-lint --races: RESULT FINGERPRINTS DIVERGED — worker scheduling leaked into results");
-        ExitCode::FAILURE
+        return ExitCode::FAILURE;
     }
+    if !report.matches_pin() {
+        eprintln!(
+            "lhmm-lint --races: fingerprints={:016x} swap={:016x} differ from the pinned {:016x} and swap={:016x} for the default seed; the pins in crates/lintkit/src/races.rs change only with an intended verdict change recorded in CHANGES.md",
+            report.fingerprints.0,
+            report.swap_fingerprints.0,
+            races::PINNED_FINGERPRINT,
+            races::PINNED_SWAP_FINGERPRINT,
+        );
+        return ExitCode::FAILURE;
+    }
+    println!("lhmm-lint --races: deterministic across worker counts, SP backends, kernels, and mid-corpus swaps (lock-witness lane included)");
+    if report.seed == races::DEFAULT_SEED {
+        println!("lhmm-lint --races: fingerprints equal the pinned constants");
+    }
+    ExitCode::SUCCESS
 }
 
 /// Walks up from the current directory to the first directory holding both

@@ -27,6 +27,12 @@
 //! feature) — the acquisition counter actually advanced, proving the
 //! serving run was rank-checked rather than silently passthrough.
 //!
+//! For [`DEFAULT_SEED`] the verdict and swap fingerprints are also pinned
+//! to committed constants ([`PINNED_FINGERPRINT`],
+//! [`PINNED_SWAP_FINGERPRINT`]), so a change that moves any verdict fails
+//! the run even when every lane still agrees with every other. Other
+//! seeds are unpinned.
+//!
 //! The corpus is deliberately tiny (tens of trajectories on a toy city):
 //! this is a CI smoke test that runs in well under a second, not a
 //! substitute for `tests/batch_equivalence.rs`.
@@ -44,6 +50,17 @@ use lhmm_network::backend::SpBackend;
 use lhmm_serve::{BatchPolicy, MicroBatcher, ServeCtx, ServeMetrics};
 use std::sync::Arc;
 use std::thread;
+
+/// The seed `lhmm-lint --races` runs when none is given (the CI seed).
+pub const DEFAULT_SEED: u64 = 0xFA57;
+
+/// Verdict fingerprint of the batch lanes for [`DEFAULT_SEED`]. Change it
+/// only together with an intended verdict change recorded in CHANGES.md.
+pub const PINNED_FINGERPRINT: u64 = 0x3520_c0ed_6e72_4504;
+
+/// Fingerprint of the swap lanes for [`DEFAULT_SEED`]. Change it only
+/// together with an intended verdict change recorded in CHANGES.md.
+pub const PINNED_SWAP_FINGERPRINT: u64 = 0xeb39_656f_af49_16d2;
 
 /// Outcome of one races run.
 #[derive(Debug)]
@@ -89,6 +106,14 @@ impl RacesReport {
             && self.fingerprints.0 == self.scalar_kernel_fingerprint
             && self.swap_fingerprints.0 == self.swap_fingerprints.1
             && self.witness_fingerprint == self.swap_fingerprints.1
+    }
+
+    /// True unless this run used [`DEFAULT_SEED`] and its fingerprints
+    /// differ from the pinned ones.
+    pub fn matches_pin(&self) -> bool {
+        self.seed != DEFAULT_SEED
+            || (self.fingerprints == (PINNED_FINGERPRINT, PINNED_FINGERPRINT)
+                && self.swap_fingerprints == (PINNED_SWAP_FINGERPRINT, PINNED_SWAP_FINGERPRINT))
     }
 
     /// True when the witness lane proves coverage: either the witness is
@@ -197,8 +222,8 @@ fn swap_run(
 
 /// Runs the smoke test. Learned scorers are ablated (`use_learned_* =
 /// false`): training drops to milliseconds while the engine paths whose
-/// scheduling could race — Viterbi, shortcuts, shortest-path caches, the
-/// warm layer — are exercised identically.
+/// scheduling could race — Viterbi, shortcuts, shortest-path caches — are
+/// exercised identically.
 pub fn run_races(seed: u64, workers: (usize, usize)) -> RacesReport {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(seed));
     let base: Vec<_> = ds
@@ -286,5 +311,32 @@ mod tests {
             report.witness_ok(),
             "witness compiled in but saw no acquisitions: {report:?}"
         );
+        // 0x5EED is not the pinned seed: its fingerprints are free.
+        assert!(report.matches_pin());
+    }
+
+    #[test]
+    fn a_moved_verdict_fails_the_pin_for_the_default_seed() {
+        let report = |seed, fp| RacesReport {
+            seed,
+            cases: 1,
+            worker_counts: (1, 4),
+            fingerprints: (fp, fp),
+            repeat_fingerprint: fp,
+            ch_fingerprint: fp,
+            scalar_kernel_fingerprint: fp,
+            swap_fingerprints: (PINNED_SWAP_FINGERPRINT, PINNED_SWAP_FINGERPRINT),
+            witness_fingerprint: PINNED_SWAP_FINGERPRINT,
+            witness_active: false,
+            witness_locks: 0,
+        };
+        assert!(report(DEFAULT_SEED, PINNED_FINGERPRINT).matches_pin());
+        let moved = report(DEFAULT_SEED, PINNED_FINGERPRINT ^ 1);
+        assert!(
+            moved.deterministic(),
+            "the lanes still agree with each other"
+        );
+        assert!(!moved.matches_pin());
+        assert!(report(DEFAULT_SEED + 1, PINNED_FINGERPRINT ^ 1).matches_pin());
     }
 }

@@ -18,7 +18,8 @@
 //! * [`backend`] — the [`backend::SpBackend`] runtime selector between the
 //!   two engines,
 //! * [`sp_cache::SpCache`] — the precomputation/caching layer the paper uses
-//!   to avoid repeated shortest-path searches (Section V-A2),
+//!   to avoid repeated shortest-path searches (Section V-A2); each matching
+//!   engine owns one private cache,
 //! * [`path::Path`] — road-segment sequences with geometry helpers,
 //! * [`io`] — CSV import/export for real map extracts.
 //!

@@ -10,11 +10,9 @@
 
 use crate::backend::{SpEngine, SpHandle};
 use crate::graph::{NodeId, RoadNetwork, SegmentId};
-use crate::shortest_path::{Route, UNREACHABLE};
-use std::collections::{BTreeMap, HashMap};
-use std::sync::Arc;
+use crate::shortest_path::Route;
+use std::collections::HashMap;
 
-#[derive(Clone)]
 struct Entry {
     /// The bound the search ran with; a cached miss is only trusted when the
     /// new query's bound does not exceed it.
@@ -37,119 +35,26 @@ impl Entry {
     }
 }
 
-/// Cache counters, split by layer.
+/// Cache counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpCacheStats {
-    /// Queries answered from the private (per-shard) map.
+    /// Queries answered from the map.
     pub hits: u64,
-    /// Queries answered from the shared warm layer.
-    pub warm_hits: u64,
-    /// Queries that ran a Dijkstra search.
+    /// Queries that ran a search.
     pub misses: u64,
-}
-
-impl SpCacheStats {
-    /// Accumulates `other` into `self` (for cross-shard aggregation).
-    pub fn merge(&mut self, other: &SpCacheStats) {
-        self.hits += other.hits;
-        self.warm_hits += other.warm_hits;
-        self.misses += other.misses;
-    }
-}
-
-/// An immutable node-pair → route table shared read-only between cache
-/// shards (one [`SpCache`] per batch worker).
-///
-/// Every entry must satisfy the cache invariant: `route` is the true
-/// shortest route between the pair when one of length ≤ `bound` exists,
-/// `None` otherwise. [`WarmLayer::precompute`] guarantees this by running
-/// the same Dijkstra engine the caches use; entries inserted by
-/// [`SpCache::snapshot`] inherit it from the cache's own searches. Because
-/// warm answers equal what a fresh search would return, consulting the warm
-/// layer never changes matching output — only its speed.
-#[derive(Clone, Default)]
-pub struct WarmLayer {
-    map: HashMap<(u32, u32), Entry>,
-}
-
-impl WarmLayer {
-    /// An empty warm layer.
-    pub fn new() -> Self {
-        WarmLayer::default()
-    }
-
-    /// Computes true shortest routes for `pairs` (bounded by `bound`) and
-    /// stores them. Pairs are grouped by source so each source runs one
-    /// one-to-many search.
-    pub fn precompute(
-        net: &RoadNetwork,
-        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
-        bound: f64,
-    ) -> Self {
-        Self::precompute_with(net, pairs, bound, &SpHandle::Dijkstra)
-    }
-
-    /// [`Self::precompute`] with an explicit shortest-path backend. The
-    /// oracle suite pins both backends bitwise-equal, so the backend
-    /// changes precompute cost, never the stored answers.
-    pub fn precompute_with(
-        net: &RoadNetwork,
-        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
-        bound: f64,
-        sp: &SpHandle,
-    ) -> Self {
-        // BTreeMap so the precompute order (and hence any shared-state
-        // effects inside the engine) is independent of hash seeding.
-        let mut by_source: BTreeMap<u32, Vec<NodeId>> = BTreeMap::new();
-        for (from, to) in pairs {
-            by_source.entry(from.0).or_default().push(to);
-        }
-        let mut engine = sp.engine(net);
-        let mut map = HashMap::new();
-        for (from, targets) in by_source {
-            let routes = engine.node_to_nodes(net, NodeId(from), &targets, bound);
-            for (to, route) in targets.into_iter().zip(routes) {
-                map.insert((from, to.0), Entry { bound, route });
-            }
-        }
-        WarmLayer { map }
-    }
-
-    /// Unbounded precompute: every stored entry carries the
-    /// [`UNREACHABLE`] bound, so it answers conclusively for *any* later
-    /// query bound (a warmed miss means the pair is truly disconnected).
-    pub fn precompute_conclusive(
-        net: &RoadNetwork,
-        pairs: impl IntoIterator<Item = (NodeId, NodeId)>,
-        sp: &SpHandle,
-    ) -> Self {
-        Self::precompute_with(net, pairs, UNREACHABLE, sp)
-    }
-
-    /// Number of warmed node pairs.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing is warmed.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
 }
 
 /// A memoizing shortest-path oracle for one network.
 ///
-/// Lookups consult the private map first, then the optional shared
-/// [`WarmLayer`]; only on a miss in both does a Dijkstra search run (its
-/// result lands in the private map, keeping the warm layer immutable and
-/// safely shareable across threads).
+/// Each matching engine owns one cache and alone mutates it, so lookups
+/// take no lock. A hit answers only when the answer equals what a fresh
+/// search bounded by the query's own bound would return; on a miss the
+/// search runs and its result lands in the map.
 pub struct SpCache {
     engine: SpEngine,
     map: HashMap<(u32, u32), Entry>,
-    warm: Option<Arc<WarmLayer>>,
     capacity: usize,
     hits: u64,
-    warm_hits: u64,
     misses: u64,
 }
 
@@ -168,40 +73,9 @@ impl SpCache {
         SpCache {
             engine: sp.engine(net),
             map: HashMap::new(),
-            warm: None,
             capacity: capacity.max(1),
             hits: 0,
-            warm_hits: 0,
             misses: 0,
-        }
-    }
-
-    /// Creates a cache shard backed by a shared read-only warm layer.
-    /// Queries the warm layer can answer conclusively never run a search.
-    pub fn with_warm_layer(net: &RoadNetwork, capacity: usize, warm: Arc<WarmLayer>) -> Self {
-        let mut cache = SpCache::new(net, capacity);
-        cache.warm = Some(warm);
-        cache
-    }
-
-    /// [`Self::with_warm_layer`] with an explicit shortest-path backend.
-    pub fn with_warm_layer_backend(
-        net: &RoadNetwork,
-        capacity: usize,
-        warm: Arc<WarmLayer>,
-        sp: &SpHandle,
-    ) -> Self {
-        let mut cache = SpCache::with_backend(net, capacity, sp);
-        cache.warm = Some(warm);
-        cache
-    }
-
-    /// Copies the private map into a standalone [`WarmLayer`] (e.g. to seed
-    /// batch workers from a serial warmup pass). The shard's own warm layer
-    /// is not included.
-    pub fn snapshot(&self) -> WarmLayer {
-        WarmLayer {
-            map: self.map.clone(),
         }
     }
 
@@ -217,12 +91,6 @@ impl SpCache {
         if let Some(answer) = self.map.get(&key).and_then(|e| e.answer(max_dist)) {
             self.hits += 1;
             return answer;
-        }
-        if let Some(warm) = &self.warm {
-            if let Some(answer) = warm.map.get(&key).and_then(|e| e.answer(max_dist)) {
-                self.warm_hits += 1;
-                return answer;
-            }
         }
         self.misses += 1;
         let route = self.engine.node_to_node(net, from, to, max_dist);
@@ -273,17 +141,10 @@ impl SpCache {
         })
     }
 
-    /// `(hits, misses)` counters for diagnostics and benches; warm-layer
-    /// hits count as hits.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits + self.warm_hits, self.misses)
-    }
-
-    /// Counters split by layer (private hits vs warm hits vs searches).
-    pub fn detailed_stats(&self) -> SpCacheStats {
+    /// Hit and search counters for diagnostics and benches.
+    pub fn stats(&self) -> SpCacheStats {
         SpCacheStats {
             hits: self.hits,
-            warm_hits: self.warm_hits,
             misses: self.misses,
         }
     }
@@ -335,9 +196,9 @@ mod tests {
         cache.route(&net, NodeId(0), NodeId(5), 1e9);
         cache.route(&net, NodeId(0), NodeId(5), 1e9);
         cache.route(&net, NodeId(0), NodeId(5), 1e9);
-        let (hits, misses) = cache.stats();
-        assert_eq!(misses, 1);
-        assert_eq!(hits, 2);
+        let s = cache.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.hits, 2);
     }
 
     #[test]
@@ -349,8 +210,8 @@ mod tests {
         // without recomputing.
         let again = cache.route(&net, NodeId(0), NodeId(30), r.length * 0.5);
         assert!(again.is_none());
-        let (hits, misses) = cache.stats();
-        assert_eq!((hits, misses), (1, 1));
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses), (1, 1));
     }
 
     #[test]
@@ -374,56 +235,14 @@ mod tests {
     }
 
     #[test]
-    fn warm_layer_answers_without_searching() {
-        let net = generate_city(&GeneratorConfig::small_test(9));
-        let pairs: Vec<(NodeId, NodeId)> =
-            (0..10u32).map(|i| (NodeId(i), NodeId(i + 20))).collect();
-        let warm = Arc::new(WarmLayer::precompute(&net, pairs.clone(), 1e12));
-        assert_eq!(warm.len(), 10);
-        let mut cache = SpCache::with_warm_layer(&net, 1000, warm);
-        let mut eng = DijkstraEngine::new(&net);
-        for (from, to) in pairs {
-            let cached = cache.route(&net, from, to, 1e9);
-            let direct = eng.node_to_node(&net, from, to, 1e9);
-            assert_eq!(
-                cached.as_ref().map(|r| r.length),
-                direct.as_ref().map(|r| r.length)
-            );
-        }
-        let s = cache.detailed_stats();
-        assert_eq!(s.warm_hits, 10);
-        assert_eq!(s.misses, 0);
-        // Unwarmed pairs still fall through to a search.
-        cache.route(&net, NodeId(15), NodeId(3), 1e9);
-        assert_eq!(cache.detailed_stats().misses, 1);
-    }
-
-    #[test]
-    fn snapshot_seeds_a_fresh_shard() {
-        let net = generate_city(&GeneratorConfig::small_test(9));
-        let mut warmup = SpCache::new(&net, 1000);
-        for i in 0..8u32 {
-            warmup.route(&net, NodeId(i), NodeId(i + 11), 1e9);
-        }
-        let warm = Arc::new(warmup.snapshot());
-        assert_eq!(warm.len(), 8);
-        let mut shard = SpCache::with_warm_layer(&net, 1000, warm);
-        for i in 0..8u32 {
-            shard.route(&net, NodeId(i), NodeId(i + 11), 1e9);
-        }
-        let s = shard.detailed_stats();
-        assert_eq!((s.warm_hits, s.misses), (8, 0));
-        assert!(shard.is_empty(), "warm hits must not copy into the shard");
-    }
-
-    #[test]
     fn cache_hits_equal_recomputation_at_every_bound() {
         // Regression for the shared UNREACHABLE sentinel: a cached answer
-        // (hit, warm hit, or conclusive miss) must be byte-identical to
-        // what a fresh engine computes, for bounds below, at, and above
-        // the route length — and for truly disconnected pairs warmed at
-        // the unbounded sentinel. Exercises both backends.
+        // (hit or conclusive miss) must be byte-identical to what a fresh
+        // engine computes, for bounds below, at, and above the route
+        // length — and for truly disconnected pairs probed at the
+        // unbounded sentinel. Exercises both backends.
         use crate::backend::{SpBackend, SpHandle};
+        use crate::shortest_path::UNREACHABLE;
         let net = generate_city(&GeneratorConfig::small_test(31));
         let n = net.num_nodes() as u32;
         for backend in [SpBackend::Dijkstra, SpBackend::Ch] {
@@ -433,8 +252,7 @@ mod tests {
                 .map(|i| (NodeId(i), NodeId((i * 3 + 7) % n)))
                 .filter(|(a, b)| a != b)
                 .collect();
-            let warm = Arc::new(WarmLayer::precompute_conclusive(&net, pairs.clone(), &sp));
-            let mut cache = SpCache::with_warm_layer_backend(&net, 10_000, warm, &sp);
+            let mut cache = SpCache::with_backend(&net, 10_000, &sp);
             for &(from, to) in &pairs {
                 let probe = cache.route(&net, from, to, UNREACHABLE);
                 let bounds: Vec<f64> = match &probe {
@@ -451,20 +269,16 @@ mod tests {
                     );
                 }
             }
-            // Every query above was answerable from the warm layer or the
-            // probe's private insert: conclusive-bound entries never force
-            // a recompute.
-            let s = cache.detailed_stats();
-            assert_eq!(s.misses, 0, "{backend:?}: conclusive warm entries recomputed");
+            // Only the unbounded probes searched: an entry stored at the
+            // conclusive bound answers every later bound without a
+            // recompute.
+            let s = cache.stats();
+            assert_eq!(
+                s.misses,
+                pairs.len() as u64,
+                "{backend:?}: conclusive entries recomputed"
+            );
         }
-    }
-
-    #[test]
-    fn stats_merge_accumulates() {
-        let mut a = SpCacheStats { hits: 1, warm_hits: 2, misses: 3 };
-        let b = SpCacheStats { hits: 10, warm_hits: 20, misses: 30 };
-        a.merge(&b);
-        assert_eq!(a, SpCacheStats { hits: 11, warm_hits: 22, misses: 33 });
     }
 }
 
@@ -505,42 +319,6 @@ mod prop_tests {
                 if let Some(r) = &cached {
                     prop_assert!(r.length <= bound);
                 }
-            }
-        }
-
-        /// Sharded caches over a shared warm layer agree with a fresh
-        /// engine on every query, regardless of which shard answers.
-        #[test]
-        fn shards_with_warm_layer_agree_with_engine(
-            seed in 0u64..200,
-            queries in proptest::collection::vec((0u32..60, 0u32..60, 100.0..5_000.0f64), 1..20),
-        ) {
-            let net = generate_city(&GeneratorConfig::small_test(seed));
-            let n = net.num_nodes() as u32;
-            // Warm the first few pairs of the query stream.
-            let warm_pairs: Vec<(NodeId, NodeId)> = queries
-                .iter()
-                .take(5)
-                .map(|&(f, t, _)| (NodeId(f % n), NodeId(t % n)))
-                .collect();
-            let warm = Arc::new(WarmLayer::precompute(&net, warm_pairs, 1e12));
-            let mut shards = [
-                SpCache::with_warm_layer(&net, 100_000, Arc::clone(&warm)),
-                SpCache::with_warm_layer(&net, 100_000, Arc::clone(&warm)),
-                SpCache::with_warm_layer(&net, 100_000, warm),
-            ];
-            let mut eng = DijkstraEngine::new(&net);
-            for (q, &(f, t, bound)) in queries.iter().enumerate() {
-                let from = NodeId(f % n);
-                let to = NodeId(t % n);
-                let shard = &mut shards[q % 3];
-                let cached = shard.route(&net, from, to, bound);
-                let direct = eng.node_to_node(&net, from, to, bound);
-                prop_assert_eq!(
-                    cached.as_ref().map(|r| r.length),
-                    direct.as_ref().map(|r| r.length),
-                    "shard {} pair {:?}->{:?} bound {}", q % 3, from, to, bound
-                );
             }
         }
     }

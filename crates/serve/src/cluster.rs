@@ -558,16 +558,13 @@ impl RouterShared<'_, '_> {
                     }
                 };
                 let mut sessions = self.sessions.lock();
-                if let Some(entry) = sessions.get(&client) {
+                if let Some(mut old) = sessions.remove(&client) {
                     // Mirror single-process reopen semantics: the previous
-                    // trajectory is finalized before the key is reused.
-                    if let Some(tile) = entry.tile {
-                        // Session ops are serialized by design: the
-                        // finalize must land before the key is reused, and
-                        // the journal must not move under the rpc.
-                        // lint:allow(guard-across-blocking): intended session serialization
-                        let _ = self.rpc(tile, &Request::Finish { client });
-                    }
+                    // trajectory is finalized before the key is reused,
+                    // also when no shard holds it (the finish replays its
+                    // journal first). Session ops are serialized by
+                    // design, as in the Finish arm below.
+                    let _ = self.finish(&mut old, client);
                 }
                 sessions.insert(
                     client,

@@ -7,7 +7,7 @@
 //!   bounded admission queue and are coalesced into size-or-deadline
 //!   batches dispatched onto a worker pool. Each worker owns a private
 //!   [`HmmEngine`](lhmm_core::viterbi::HmmEngine) whose scratch arenas and
-//!   shortest-path cache shard recycle across requests — results are
+//!   shortest-path cache recycle across requests — results are
 //!   byte-identical to serial offline matching (cache state never changes
 //!   answers, only speed).
 //! * **Session manager** ([`session`]): multi-tenant fixed-lag streaming

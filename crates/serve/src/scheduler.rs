@@ -6,7 +6,7 @@
 //! ```text
 //! submit() ──try_push──▶ BoundedQueue ──▶ scheduler thread ──▶ dispatch ──▶ worker 0..N
 //!    │                     (admission)     forms batches by     channel      own HmmEngine
-//!    └── RejectReason on full/closed       size OR deadline                  own SpCache shard
+//!    └── RejectReason on full/closed       size OR deadline                  own SpCache
 //! ```
 //!
 //! The scheduler pulls the first request, then keeps pulling until the
@@ -15,11 +15,12 @@
 //! fill instantly (throughput), when idle a lone request waits at most
 //! `max_wait` (latency).
 //!
-//! Workers mirror the PR 1 batch-matcher design: each owns a private
-//! [`HmmEngine`] whose [`SpCache`] shard it alone mutates and whose scratch
-//! arenas recycle across requests, so results are byte-identical to serial
-//! matching no matter how requests are batched or interleaved (cache state
-//! never changes answers — see `lhmm_core::batch`).
+//! Workers mirror the batch-matcher design: each owns a private
+//! [`HmmEngine`] whose [`SpCache`](lhmm_network::sp_cache::SpCache) it
+//! alone mutates and whose scratch arenas recycle across requests, so
+//! results are byte-identical to serial matching no matter how requests
+//! are batched or interleaved (cache state never changes answers — see
+//! `lhmm_core::batch`).
 
 use crate::admission::{BoundedQueue, PushError, RejectReason};
 use crate::metrics::ServeMetrics;
@@ -28,7 +29,6 @@ use lhmm_core::error::MatchError;
 use lhmm_core::registry::{ModelRegistry, VersionedModel};
 use lhmm_core::types::{MatchContext, MatchResult, MatchStats};
 use lhmm_core::viterbi::HmmEngine;
-use lhmm_network::sp_cache::SpCache;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -64,10 +64,8 @@ pub struct BatchPolicy {
     pub max_wait: Duration,
     /// Admission-queue capacity (requests waiting for a batch slot).
     pub queue_capacity: usize,
-    /// Worker threads (each with a private cache shard). Min 1.
+    /// Worker threads (each with a private shortest-path cache). Min 1.
     pub workers: usize,
-    /// Per-worker shortest-path cache capacity, node pairs.
-    pub cache_capacity: usize,
     /// Artificial per-request service latency, for overload experiments
     /// and scheduler benchmarks (simulates a heavier model; keep
     /// `Duration::ZERO` in production).
@@ -81,7 +79,6 @@ impl Default for BatchPolicy {
             max_wait: Duration::from_millis(2),
             queue_capacity: 256,
             workers: 2,
-            cache_capacity: HmmEngine::DEFAULT_CACHE_CAPACITY,
             service_delay: Duration::ZERO,
         }
     }
@@ -181,7 +178,7 @@ impl<'scope, 'env> MicroBatcher<'scope, 'env> {
             }));
         }
 
-        // Workers: each owns one engine (private cache shard) per model
+        // Workers: each owns one engine (private route cache) per model
         // version it has served, built lazily on the first job pinned to
         // that version. Engines borrow only the road network, so they
         // survive swaps; the per-version keying keeps each engine's config
@@ -190,19 +187,15 @@ impl<'scope, 'env> MicroBatcher<'scope, 'env> {
             let dispatch_rx = Arc::clone(&dispatch_rx);
             let metrics = Arc::clone(&metrics);
             let delay = policy.service_delay;
-            let cache_capacity = policy.cache_capacity;
             threads.push(scope.spawn(move || {
                 fn engine_for<'m>(
                     engines: &'m mut BTreeMap<u32, HmmEngine>,
                     net: &lhmm_network::graph::RoadNetwork,
-                    cache_capacity: usize,
                     entry: &VersionedModel,
                 ) -> &'m mut HmmEngine {
-                    engines.entry(entry.manifest.version.0).or_insert_with(|| {
-                        let cache =
-                            SpCache::with_backend(net, cache_capacity, entry.model.sp_handle());
-                        HmmEngine::with_cache(net, entry.model.engine_config(), cache)
-                    })
+                    engines
+                        .entry(entry.manifest.version.0)
+                        .or_insert_with(|| HmmEngine::new(net, entry.model.engine_config()))
                 }
                 let mut engines: BTreeMap<u32, HmmEngine> = BTreeMap::new();
                 loop {
@@ -226,7 +219,7 @@ impl<'scope, 'env> MicroBatcher<'scope, 'env> {
                         let pinned = job.pin.manifest.version.0;
                         let started = Instant::now();
                         let engine =
-                            engine_for(&mut engines, serve.ctx.net, cache_capacity, &job.pin);
+                            engine_for(&mut engines, serve.ctx.net, &job.pin);
                         let mut verdict =
                             job.pin
                                 .model
@@ -258,7 +251,7 @@ impl<'scope, 'env> MicroBatcher<'scope, 'env> {
                         if let Some(cand) = &job.shadow {
                             let shadow_started = Instant::now();
                             let shadow_engine =
-                                engine_for(&mut engines, serve.ctx.net, cache_capacity, cand);
+                                engine_for(&mut engines, serve.ctx.net, cand);
                             let shadow_verdict = cand.model.try_match_with_engine_stats(
                                 &serve.ctx,
                                 &job.traj,

@@ -10,11 +10,13 @@
 //! * Killing a shard mid-stream, or right before `finish`, loses nothing:
 //!   the supervisor restarts it, the router replays its journal, and final
 //!   routes are unchanged.
+//! * Re-opening a key whose handoff was shed still finalizes the previous
+//!   trajectory from the router's journal.
 //! * The internal snapshot/restore plane is rejected at the router.
 
 use lhmm_cellsim::dataset::{Dataset, DatasetConfig};
 use lhmm_cellsim::faults::AdversarialCorpus;
-use lhmm_cellsim::traj::CellularTrajectory;
+use lhmm_cellsim::traj::{CellularPoint, CellularTrajectory};
 use lhmm_core::candidates::{nearest_segments, to_candidates};
 use lhmm_core::classic::{ClassicModel, ClassicObservation, ClassicTransition};
 use lhmm_core::error::MatchError;
@@ -31,6 +33,7 @@ use lhmm_serve::{
 };
 use std::net::TcpStream;
 use std::thread;
+use std::time::Duration;
 
 fn cheap_model(ds: &Dataset, seed: u64) -> LhmmModel {
     let mut cfg = LhmmConfig::fast_test(seed);
@@ -428,6 +431,100 @@ fn shard_killed_before_finish_of_a_long_session_loses_nothing() {
         let report = cluster.shutdown_and_drain();
         assert!(report.replays >= 1, "the finish did not replay the journal");
         assert_eq!(report.in_flight_lost(), 0, "the kill lost admitted work");
+    });
+}
+
+/// A handoff shed at the target shard leaves a session that no shard
+/// holds, only the router's journal. Re-opening its key must still
+/// finalize the previous trajectory, as single-process reopen does.
+#[test]
+fn reopen_after_a_shed_handoff_finalizes_the_previous_trajectory() {
+    let ds = Dataset::generate(&DatasetConfig::tiny_test(506));
+    let registry = ModelRegistry::new(cheap_model(&ds, 506), "v1");
+    // One session slot per shard, and no LRU eviction of an active one.
+    let sessions = SessionPolicy {
+        max_sessions: 1,
+        lru_evict_min_idle: Duration::from_secs(3600),
+        ..SessionPolicy::default()
+    };
+    let topology = ClusterTopology::build(&ds.network, &ds.index, 2, 1, sessions.radius);
+    let tile_of = |p: &CellularPoint| topology.route(p.effective_pos());
+    // A's first trip: the leading tile-0 run of a test trajectory.
+    let trip: Vec<CellularPoint> = ds
+        .test
+        .iter()
+        .map(|r| -> Vec<CellularPoint> {
+            r.cellular
+                .points
+                .iter()
+                .copied()
+                .take_while(|p| tile_of(p) == 0)
+                .collect()
+        })
+        .max_by_key(|run| run.len())
+        .expect("non-empty test split");
+    assert!(trip.len() >= 2, "no trajectory starts with a tile-0 run");
+    let on_tile_1 = ds
+        .test
+        .iter()
+        .flat_map(|r| r.cellular.points.iter().copied())
+        .find(|p| tile_of(p) == 1)
+        .expect("no test point on tile 1");
+
+    thread::scope(|s| {
+        let serve = ServeCtx {
+            ctx: ctx(&ds),
+            registry: &registry,
+            scope: None,
+        };
+        let config = ClusterConfig {
+            shard: ServeConfig {
+                sessions,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let cluster = ClusterHandle::start(s, serve, &topology, config).expect("bind cluster");
+        let mut client = ServeClient::connect(cluster.addr()).expect("connect");
+        let (a, b) = (6001, 6002);
+        let lag = (trip.len() + 2) as u32;
+        let typed_or_ok = |r: Result<u32, ClientError>| match r {
+            Ok(_) => true,
+            Err(ClientError::Failed(MatchError::NoCandidates | MatchError::EmptyLayer { .. })) => {
+                false
+            }
+            Err(e) => panic!("push failed: {e}"),
+        };
+
+        // B takes tile 1's only slot.
+        client.open(b, lag).expect("open B");
+        typed_or_ok(client.push(b, &on_tile_1));
+        // A streams on tile 0, then crosses into tile 1: the restore there
+        // is shed, so the journal is the session's only copy.
+        client.open(a, lag).expect("open A");
+        let accepted = trip
+            .iter()
+            .filter(|p| typed_or_ok(client.push(a, p)))
+            .count();
+        assert!(accepted >= 1, "no push of A's trip was accepted");
+        match client.push(a, &on_tile_1) {
+            Err(ClientError::Rejected(RejectReason::SessionLimit)) => {}
+            other => panic!("expected the handoff to be shed, got {other:?}"),
+        }
+
+        // Re-opening A's key finalizes its first trip on tile 0.
+        client.open(a, lag).expect("reopen A");
+        let reply = client.finish(a).expect("finish A's second trip");
+        assert!(reply.segments.is_empty(), "A's second trip pushed nothing");
+        client.finish(b).expect("finish B");
+
+        let report = cluster.shutdown_and_drain();
+        assert_eq!(
+            report.merged.sessions_finalized, 2,
+            "A's first trip and B's trip must both be finalized"
+        );
+        assert!(report.replays >= 1, "the reopen did not replay A's journal");
+        assert_eq!(report.in_flight_lost(), 0);
     });
 }
 

@@ -1,5 +1,5 @@
-//! Batch matching: match a whole trajectory set in parallel with sharded
-//! shortest-path caches, and inspect the engine telemetry.
+//! Batch matching: match a whole trajectory set in parallel, one private
+//! shortest-path cache per worker, and inspect the engine telemetry.
 //!
 //! ```sh
 //! cargo run --release --example batch_matching
@@ -32,15 +32,10 @@ fn main() {
         results.len(),
         stats.per_worker.len()
     );
-    println!(
-        "warm layer: {} precomputed node pairs ({:.1} ms)",
-        stats.warm_entries,
-        stats.warm_time_s * 1e3
-    );
     let total = stats.total();
     println!(
-        "shortest-path queries: {} shard hits, {} warm hits, {} searches",
-        total.cache_hits, total.cache_warm_hits, total.cache_misses
+        "shortest-path queries: {} cache hits, {} searches",
+        total.cache_hits, total.cache_misses
     );
     println!(
         "shortcuts: {} activations covering {} points; viterbi {:.1} ms total",
@@ -50,7 +45,7 @@ fn main() {
     );
     for (w, ws) in stats.per_worker.iter().enumerate() {
         println!(
-            "  worker {w}: {} trajectories, {} shard hits / {} misses",
+            "  worker {w}: {} trajectories, {} cache hits / {} misses",
             ws.matched, ws.stats.cache_hits, ws.stats.cache_misses
         );
     }

@@ -1,7 +1,7 @@
 //! Parallel-vs-serial equivalence for the batch matching engine.
 //!
 //! The batch matcher's contract (see `lhmm_core::batch`) is that worker
-//! count, scheduling and cache warm-up change only speed, never results:
+//! count, scheduling and cache state change only speed, never results:
 //! `match_batch(trajs)[i]` must be byte-identical to matching `trajs[i]`
 //! through a serial [`Lhmm`] loop. These tests pin that contract at 1, 2
 //! and 4 workers, and under an adversarial mixed-length workload designed
@@ -73,24 +73,6 @@ fn parallel_matches_serial_at_1_2_4_workers() {
             trajs.len()
         );
     }
-}
-
-#[test]
-fn equivalence_holds_without_warm_layer() {
-    // The warm layer is an optimization; disabling it must not change
-    // results either.
-    let ds = Dataset::generate(&DatasetConfig::tiny_test(91));
-    let mut serial = Lhmm::train(&ds, cheap_config(91));
-    let trajs: Vec<_> = ds.test.iter().take(6).map(|r| r.cellular.clone()).collect();
-    let expected = serial_results(&ds, &mut serial, &trajs);
-    let ctx = context(&ds);
-    let cfg = BatchConfig {
-        workers: 2,
-        warm_pairs: 0,
-        ..Default::default()
-    };
-    let (results, _) = BatchMatcher::new(serial.model(), cfg).match_batch(&ctx, &trajs);
-    assert_identical(&expected, &results, "no warm layer");
 }
 
 #[test]
