@@ -103,11 +103,12 @@ run cargo test -q -p lhmm-network --test ch_oracle --test sp_metamorphic
 run cargo test -q -p lhmm-serve
 
 # Cluster gate (DESIGN §13): 4-shard verdict fingerprints byte-identical
-# to single-process and offline serial — including mid-stream beam-state
-# handoffs and a shard killed mid-stream (supervisor restart + journal
-# replay, in_flight_lost() == 0) — plus decoder panic-freedom fuzzing
-# over the extended frame set. Run serially as well: the supervisor's
-# restart path must not depend on test scheduling.
+# to single-process and offline serial — including sessions that cross
+# tiles while staying on their home shard, refresh statistics equal to
+# single-process, and a shard killed mid-stream (supervisor restart +
+# journal replay, in_flight_lost() == 0) — plus decoder panic-freedom
+# fuzzing, retired handoff tags included. Run serially as well: the
+# supervisor's restart path must not depend on test scheduling.
 run cargo test -q -p lhmm-serve --test cluster_loopback --test protocol_fuzz
 run env RUST_TEST_THREADS=1 cargo test -q -p lhmm-serve --test cluster_loopback
 

@@ -67,6 +67,6 @@ pub use lhmm::{Lhmm, LhmmConfig, LhmmModel};
 pub use registry::{
     ModelManifest, ModelRegistry, ModelVersion, RefreshStats, RegistryError, VersionedModel,
 };
-pub use streaming::{BeamState, SnapshotError, StreamingEngine};
+pub use streaming::StreamingEngine;
 pub use sync::{OrderedMutex, OrderedRwLock};
 pub use types::{Candidate, MapMatcher, MatchContext, MatchResult, MatchStats};

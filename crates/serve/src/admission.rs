@@ -28,8 +28,8 @@ pub enum RejectReason {
     /// trajectory) or the frame cap.
     Oversized,
     /// The request is not acceptable on this endpoint or failed semantic
-    /// validation (e.g. a beam-state snapshot that violates its invariants,
-    /// or a shard-internal frame sent to the public router plane).
+    /// validation (e.g. an unknown model version on `Open`, `Swap` or
+    /// `Shadow`).
     Invalid,
 }
 

@@ -14,7 +14,6 @@ use crate::protocol::{
 use lhmm_cellsim::traj::{CellularPoint, CellularTrajectory};
 use lhmm_core::error::MatchError;
 use lhmm_core::registry::ModelManifest;
-use lhmm_core::streaming::BeamState;
 use lhmm_network::graph::SegmentId;
 use std::fmt;
 use std::io;
@@ -189,39 +188,6 @@ impl ServeClient {
             Response::Reject(reason) => Err(ClientError::Rejected(reason)),
             Response::Failed(e) => Err(decode_failed(e)),
             _ => Err(ClientError::Unexpected("non-pong reply to Ping")),
-        }
-    }
-
-    /// Captures and evicts `client`'s streaming session on the server
-    /// (take semantics). `Err(Failed(EmptyTrajectory))` means the server
-    /// holds no such session.
-    pub fn snapshot(&mut self, client: u64) -> Result<BeamState, ClientError> {
-        match self.call(&Request::Snapshot { client })? {
-            Response::State { state } => Ok(state),
-            Response::Reject(reason) => Err(ClientError::Rejected(reason)),
-            Response::Failed(e) => Err(decode_failed(e)),
-            _ => Err(ClientError::Unexpected("non-state reply to Snapshot")),
-        }
-    }
-
-    /// Re-admits a captured session under `client` on the server,
-    /// replacing any existing session with the same key. `version` is the
-    /// session's original pin (0 = the destination's active version).
-    pub fn restore(
-        &mut self,
-        client: u64,
-        version: u32,
-        state: &BeamState,
-    ) -> Result<(), ClientError> {
-        match self.call(&Request::Restore {
-            client,
-            version,
-            state: state.clone(),
-        })? {
-            Response::Pushed { .. } => Ok(()),
-            Response::Reject(reason) => Err(ClientError::Rejected(reason)),
-            Response::Failed(e) => Err(decode_failed(e)),
-            _ => Err(ClientError::Unexpected("non-ack reply to Restore")),
         }
     }
 

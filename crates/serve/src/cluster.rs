@@ -1,12 +1,13 @@
 //! Geo-sharded cluster serving: a tile router in front of per-tile shard
-//! servers, with byte-exact streaming handoff and crash supervision.
+//! servers, with sticky streaming sessions, journal replay and crash
+//! supervision.
 //!
 //! ```text
 //! clients ──▶ router (TCP front end, same wire protocol)
 //!               │  one-shots: routed by the first point's tile
-//!               │  sessions:  routed per push; crossing a tile boundary
-//!               │             snapshots the beam state off the old shard
-//!               │             and restores it on the new one
+//!               │  sessions:  opened on the tile of the first push and
+//!               │             kept there until the finish; the router
+//!               │             journals every accepted push
 //!               ▼
 //!         supervisor ──▶ shard 0 .. shard N-1  (one ServerHandle per tile)
 //!               │             each holds the FULL road network (shortest
@@ -24,15 +25,19 @@
 //!   inside the tile core (where the halo provably covers the search
 //!   radius); everything else falls back to the full index — see
 //!   [`crate::session::SessionManager::with_scope`].
-//! * Handoff moves the raw fixed-lag beam state
-//!   ([`lhmm_core::streaming::BeamState`]) between shards over the
-//!   versioned snapshot/restore frames; restore is lossless, so the
-//!   continued session is bitwise the session that never moved.
-//! * Crash recovery replays the router's journal of accepted pushes onto a
-//!   restarted shard. The beam state is a pure deterministic function of
-//!   the accepted `(position, time, layer)` sequence, so the rebuilt
-//!   session is byte-identical to one that never crashed — a killed shard
-//!   loses nothing that was admitted.
+//! * A session stays on the shard that placed it, like a one-shot stays on
+//!   the tile of its first point. Every shard holds the full network, so a
+//!   push that has left the home tile is matched there through the full
+//!   index — the answer any shard would give.
+//! * Journal replay is the one way a session moves: after a shard crash,
+//!   after a placement that was shed, or when the home shard is gone for
+//!   good, the router replays its journal of accepted pushes onto the tile
+//!   of the push at hand (the last accepted push's tile for a finish). The
+//!   beam state is a pure deterministic function of the accepted
+//!   `(position, time, layer)` sequence, so the rebuilt session is
+//!   byte-identical to one that never moved, and it holds every accepted
+//!   point, so the refresh statistics fed at finish cover the whole trip —
+//!   a killed shard loses nothing that was admitted.
 //!
 //! Known divergence from single-process serving: `Open` is deferred (the
 //! tile is unknown until the first located push), so a
@@ -308,14 +313,15 @@ fn ping(addr: SocketAddr) -> bool {
 
 /// Router-side record of one streaming session.
 struct SessionEntry {
-    /// Shard currently holding the session (`None` until the first
-    /// located push, or after a failed placement).
+    /// The session's home: the shard holding it (`None` until the first
+    /// located push, and again once that shard lost the session or a
+    /// placement failed — the next push or finish replays the journal).
     tile: Option<usize>,
     /// Fixed lag requested at `Open`, replayed on shard-side opens.
     lag: u32,
     /// Model version the session was pinned to at router admission,
-    /// resolved to a concrete number (never 0) so handoffs, replays, and
-    /// restarted shards all re-open under the *original* pin even if the
+    /// resolved to a concrete number (never 0) so replays onto any shard,
+    /// restarted or not, re-open under the *original* pin even if the
     /// active version swapped since — one session, one version, always.
     version: u32,
     /// Every accepted push since `Open`, in order. The beam state is a
@@ -345,7 +351,6 @@ struct RouterShared<'scope, 'env> {
     conns: Vec<OrderedMutex<Option<(SocketAddr, TcpStream)>>>,
     peers: OrderedMutex<Vec<TcpStream>>,
     handlers: OrderedMutex<Vec<ScopedJoinHandle<'scope, ()>>>,
-    handoffs: AtomicU64,
     replays: AtomicU64,
 }
 
@@ -443,8 +448,8 @@ impl RouterShared<'_, '_> {
     }
 
     /// Finalizes `client`'s session on its shard. A journaled session no
-    /// shard holds (a failed handoff or replay left it nowhere) is
-    /// replayed onto the tile of its last accepted push first.
+    /// shard holds (a crash or a shed replay left it nowhere) is replayed
+    /// onto the tile of its last accepted push first.
     fn finish(&self, entry: &mut SessionEntry, client: u64) -> Response {
         let tile = match (entry.tile, entry.journal.last()) {
             (Some(tile), _) => tile,
@@ -474,51 +479,15 @@ impl RouterShared<'_, '_> {
                     }
                 }
                 Some(resp) => return resp,
-                None => return Response::Reject(RejectReason::ShuttingDown),
+                // The home shard is gone for good: a later finish replays
+                // onto the tile of the last accepted push.
+                None => {
+                    entry.tile = None;
+                    return Response::Reject(RejectReason::ShuttingDown);
+                }
             }
         }
         Response::Reject(RejectReason::ShuttingDown)
-    }
-
-    /// Ensures `client`'s shard-side session lives on `target`: a no-op
-    /// when already there, a snapshot/restore handoff when on another
-    /// shard, a journal replay when nowhere (fresh, or lost to a crash).
-    fn place(
-        &self,
-        entry: &mut SessionEntry,
-        client: u64,
-        target: usize,
-    ) -> Result<(), RejectReason> {
-        match entry.tile {
-            Some(t) if t == target => Ok(()),
-            Some(old) => match self.rpc(old, &Request::Snapshot { client }) {
-                Some(Response::State { state }) => {
-                    let restore = Request::Restore {
-                        client,
-                        version: entry.version,
-                        state,
-                    };
-                    match self.rpc(target, &restore) {
-                        Some(Response::Pushed { .. }) => {
-                            self.handoffs.fetch_add(1, Ordering::Relaxed);
-                            entry.tile = Some(target);
-                            Ok(())
-                        }
-                        Some(Response::Reject(r)) => {
-                            // The snapshot already evicted the session from
-                            // `old`; the journal is now the only copy.
-                            entry.tile = None;
-                            Err(r)
-                        }
-                        _ => self.replay(entry, client, target),
-                    }
-                }
-                // The old shard lost the session (crash + restart) or is
-                // gone entirely: rebuild from the journal instead.
-                _ => self.replay(entry, client, target),
-            },
-            None => self.replay(entry, client, target),
-        }
     }
 
     fn respond(&self, req: Request) -> Response {
@@ -547,8 +516,8 @@ impl RouterShared<'_, '_> {
             }
             Request::Open { client, lag, version } => {
                 // Pin at router admission: resolve 0 to the concrete
-                // active version NOW, so every shard-side open/replay/
-                // restore for this session carries the same explicit pin
+                // active version NOW, so every shard-side open and replay
+                // for this session carries the same explicit pin
                 // regardless of later swaps.
                 let resolved = match self.registry.resolve(version) {
                     Ok(pin) => pin.manifest.version.0,
@@ -585,33 +554,41 @@ impl RouterShared<'_, '_> {
                     return Response::Failed(WireMatchError { code: 0, a: 0, b: 0 });
                 };
                 let target = self.topology.route(point.effective_pos());
-                if let Err(reason) = self.place(entry, client, target) {
-                    return Response::Reject(reason);
-                }
                 for attempt in 0..2 {
+                    // The session's home, else this push's tile after
+                    // replaying the journal there (a fresh session's first
+                    // push, or one whose home lost it).
+                    let tile = match entry.tile {
+                        Some(home) => home,
+                        None => match self.replay(entry, client, target) {
+                            Ok(()) => target,
+                            Err(reason) => return Response::Reject(reason),
+                        },
+                    };
                     // Push/journal/replay for one session must be atomic
                     // wrt other clients of the same key; the session lock
-                    // is the serialization point (handoff ordering depends
-                    // on it — DESIGN §13).
+                    // is the serialization point (journal order depends on
+                    // it — DESIGN §13).
                     // lint:allow(guard-across-blocking): intended session serialization
-                    match self.rpc(target, &Request::Push { client, point }) {
+                    match self.rpc(tile, &Request::Push { client, point }) {
                         Some(Response::Pushed { committed }) => {
                             entry.journal.push(point);
                             return Response::Pushed { committed };
                         }
-                        // EmptyTrajectory (code 0) from a shard that should
-                        // hold the session means it restarted and lost it:
-                        // rebuild from the journal and retry once.
+                        // EmptyTrajectory (code 0) from the home shard means
+                        // it restarted and lost the session: place it again
+                        // from the journal and retry once.
                         Some(Response::Failed(e)) if e.code == 0 && attempt == 0 => {
-                            if let Err(reason) = self.replay(entry, client, target) {
-                                return Response::Reject(reason);
-                            }
+                            entry.tile = None;
                         }
                         // Typed per-point verdicts (NoCandidates, ...) are
                         // forwarded and NOT journaled — the shard engine
                         // rejected and undid the layer.
                         Some(resp) => return resp,
-                        None => return Response::Reject(RejectReason::ShuttingDown),
+                        // The home shard is gone for good: replay onto this
+                        // push's tile, which sheds the push when that tile
+                        // is the dead one too.
+                        None => entry.tile = None,
                     }
                 }
                 Response::Reject(RejectReason::ShuttingDown)
@@ -683,12 +660,6 @@ impl RouterShared<'_, '_> {
                     }
                 }
             }
-            // Snapshot/Restore are the internal shard plane; on the public
-            // plane they are a protocol misuse.
-            Request::Snapshot { .. } | Request::Restore { .. } => {
-                self.metrics.on_rejected(RejectReason::Invalid);
-                Response::Reject(RejectReason::Invalid)
-            }
         }
     }
 
@@ -712,7 +683,14 @@ impl RouterShared<'_, '_> {
         loop {
             let req = match read_request(&mut stream) {
                 Ok(r) => r,
-                Err(_) => return,
+                // Disconnect or malformed frame (retired tags included):
+                // end the connection. Shut the socket down so the client
+                // sees EOF now — the peer list holds a clone of it until
+                // drain.
+                Err(_) => {
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    return;
+                }
             };
             let resp = self.respond(req);
             if write_response(&mut stream, &resp).is_err() {
@@ -733,9 +711,12 @@ pub struct ClusterReport {
     pub shards: usize,
     /// Shard restarts performed by the supervisor.
     pub restarts: u64,
-    /// Completed snapshot/restore boundary handoffs.
+    /// Always 0: sessions stay on the shard that placed them, so nothing
+    /// hands off. Kept only because the repo benchmark reports it
+    /// (`serve.cluster.handoffs_per_session`); retire both together.
     pub handoffs: u64,
-    /// Journal replays (crash recoveries and handoff fallbacks).
+    /// Journal replays that rebuilt a session with at least one accepted
+    /// push (after a crash, a shed placement, or a lost home shard).
     pub replays: u64,
 }
 
@@ -752,8 +733,8 @@ impl ClusterReport {
         let mut out = self.merged.render();
         let _ = writeln!(
             out,
-            "cluster:  shards {} | restarts {} | handoffs {} | replays {}",
-            self.shards, self.restarts, self.handoffs, self.replays
+            "cluster:  shards {} | restarts {} | replays {}",
+            self.shards, self.restarts, self.replays
         );
         out
     }
@@ -806,7 +787,6 @@ impl<'scope, 'env> ClusterHandle<'scope, 'env> {
                 .collect(),
             peers: OrderedMutex::new(rank::SERVER_PEERS, "router.peers", Vec::new()),
             handlers: OrderedMutex::new(rank::SERVER_HANDLERS, "router.handlers", Vec::new()),
-            handoffs: AtomicU64::new(0),
             replays: AtomicU64::new(0),
         });
 
@@ -874,7 +854,7 @@ impl<'scope, 'env> ClusterHandle<'scope, 'env> {
             merged,
             shards: shared.topology.num_tiles(),
             restarts: shared.supervisor.restarts_total.load(Ordering::Relaxed),
-            handoffs: shared.handoffs.load(Ordering::Relaxed),
+            handoffs: 0,
             replays: shared.replays.load(Ordering::Relaxed),
         }
     }
@@ -930,7 +910,7 @@ impl<'scope, 'env> ClusterHandle<'scope, 'env> {
             merged,
             shards: shared.topology.num_tiles(),
             restarts: shared.supervisor.restarts_total.load(Ordering::Relaxed),
-            handoffs: shared.handoffs.load(Ordering::Relaxed),
+            handoffs: 0,
             replays: shared.replays.load(Ordering::Relaxed),
         }
     }

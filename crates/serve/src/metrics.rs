@@ -44,10 +44,6 @@ pub struct ServeMetrics {
     sessions_finalized: AtomicU64,
     /// Observations pushed into streaming sessions.
     stream_pushes: AtomicU64,
-    /// Sessions captured and evicted for handoff to another shard.
-    sessions_exported: AtomicU64,
-    /// Sessions re-admitted from a handed-off snapshot.
-    sessions_imported: AtomicU64,
     /// Model hot swaps (promote/rollback) executed through this server.
     model_swaps: AtomicU64,
     /// Model refreshes executed through this server.
@@ -78,8 +74,6 @@ impl Default for ServeMetrics {
             sessions_evicted_lru: AtomicU64::new(0),
             sessions_finalized: AtomicU64::new(0),
             stream_pushes: AtomicU64::new(0),
-            sessions_exported: AtomicU64::new(0),
-            sessions_imported: AtomicU64::new(0),
             model_swaps: AtomicU64::new(0),
             model_refreshes: AtomicU64::new(0),
             shadow_served: AtomicU64::new(0),
@@ -207,16 +201,6 @@ impl ServeMetrics {
         self.hist.lock().stream_push.record(seconds);
     }
 
-    /// Counts a session handed off to another shard (snapshot + evict).
-    pub fn on_session_exported(&self) {
-        self.sessions_exported.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts a session re-admitted from a handoff snapshot.
-    pub fn on_session_imported(&self) {
-        self.sessions_imported.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Requests admitted so far.
     pub fn admitted(&self) -> u64 {
         self.admitted.load(Ordering::Relaxed)
@@ -250,8 +234,6 @@ impl ServeMetrics {
             sessions_evicted_lru: self.sessions_evicted_lru.load(Ordering::Relaxed),
             sessions_finalized: self.sessions_finalized.load(Ordering::Relaxed),
             stream_pushes: self.stream_pushes.load(Ordering::Relaxed),
-            sessions_exported: self.sessions_exported.load(Ordering::Relaxed),
-            sessions_imported: self.sessions_imported.load(Ordering::Relaxed),
             model_swaps: self.model_swaps.load(Ordering::Relaxed),
             model_refreshes: self.model_refreshes.load(Ordering::Relaxed),
             shadow_served: self.shadow_served.load(Ordering::Relaxed),
@@ -299,10 +281,6 @@ pub struct ServeReport {
     pub sessions_finalized: u64,
     /// Streaming observations absorbed.
     pub stream_pushes: u64,
-    /// Sessions handed off to other shards (snapshot + evict).
-    pub sessions_exported: u64,
-    /// Sessions re-admitted from handoff snapshots.
-    pub sessions_imported: u64,
     /// Model hot swaps (promote/rollback) executed.
     pub model_swaps: u64,
     /// Model refreshes executed.
@@ -374,8 +352,6 @@ impl ServeReport {
         self.sessions_evicted_lru += other.sessions_evicted_lru;
         self.sessions_finalized += other.sessions_finalized;
         self.stream_pushes += other.stream_pushes;
-        self.sessions_exported += other.sessions_exported;
-        self.sessions_imported += other.sessions_imported;
         self.model_swaps += other.model_swaps;
         self.model_refreshes += other.model_refreshes;
         self.shadow_served += other.shadow_served;
@@ -420,15 +396,13 @@ impl ServeReport {
         );
         let _ = writeln!(
             out,
-            "sessions: active {} | opened {} | finalized {} | evicted idle {} / lru {} | pushes {} | handoff out {} / in {}",
+            "sessions: active {} | opened {} | finalized {} | evicted idle {} / lru {} | pushes {}",
             self.active_sessions,
             self.sessions_opened,
             self.sessions_finalized,
             self.sessions_evicted_idle,
             self.sessions_evicted_lru,
             self.stream_pushes,
-            self.sessions_exported,
-            self.sessions_imported,
         );
         if self.model_swaps + self.model_refreshes + self.shadow_served > 0
             || !self.versions.is_empty()
@@ -533,12 +507,10 @@ mod tests {
         a.on_admitted(2);
         a.on_completed(0.001, 0.002, &MatchStats::default());
         a.on_rejected(RejectReason::Invalid);
-        a.on_session_exported();
         a.on_stream_push(0.001);
         let b = ServeMetrics::new();
         b.on_admitted(5);
         b.on_batch(3);
-        b.on_session_imported();
         b.on_stream_push(0.002);
         b.on_stream_push(0.004);
 
@@ -554,13 +526,10 @@ mod tests {
         assert_eq!(ra.rejected_for(RejectReason::Invalid), 1);
         assert_eq!(ra.queue_depth, 4);
         assert_eq!(ra.active_sessions, 6);
-        assert_eq!(ra.sessions_exported, 1);
-        assert_eq!(ra.sessions_imported, 1);
         assert_eq!(ra.stream_pushes, 3);
         assert_eq!(ra.stream_push.count(), 3);
         assert_eq!(rba.admitted, ra.admitted);
         assert_eq!(rba.stream_push.count(), ra.stream_push.count());
         assert_eq!(rba.peak_queue_depth, ra.peak_queue_depth);
-        assert!(ra.render().contains("handoff out 1 / in 1"));
     }
 }

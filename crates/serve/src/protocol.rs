@@ -13,8 +13,6 @@
 //!   0x03 PUSH     body := client:u64le  point
 //!   0x04 FINISH   body := client:u64le
 //!   0x05 PING     body := (empty)               (cluster health plane)
-//!   0x06 SNAPSHOT body := client:u64le          (capture + evict session)
-//!   0x07 RESTORE  body := client:u64le  version:u32le  state
 //!   0x08 SWAP     body := version:u32le         (0 = rollback)
 //!   0x09 SHADOW   body := version:u32le  mirror_every:u32le  (version 0 = off)
 //!   0x0A VERSIONS body := (empty)               (registry listing)
@@ -26,7 +24,6 @@
 //!   0x83 REJECT   body := reason:u8            (admission control)
 //!   0x84 FAILED   body := code:u8  a:u32le  b:u32le  (typed MatchError)
 //!   0x85 PONG     body := sessions:u32le
-//!   0x86 STATE    body := state
 //!   0x87 MODELS   body := active:u32le  previous:u32le  shadow:u32le
 //!                         mirror_every:u32le  refreshed:u32le
 //!                         n:u32le  n × manifest
@@ -34,22 +31,18 @@
 //! manifest := version:u32le  parent:u32le  fingerprint:u64le
 //!             weight_bytes:u64le  label_len:u32le  label (utf-8)
 //!
-//! The model plane (OPEN/RESTORE version fields, SWAP/SHADOW/VERSIONS/
+//! Tags 0x06, 0x07 and 0x86 are retired: they carried a shard-to-shard
+//! session-state handoff that no longer exists (a cluster moves a session
+//! only by replaying its pushes). They decode as unknown tags and are not
+//! to be reused.
+//!
+//! The model plane (OPEN version field, SWAP/SHADOW/VERSIONS/
 //! REFRESH and MODELS) uses 0 as the "currently active version" / "none"
 //! sentinel throughout — real registry versions start at 1.
 //!
 //! point := tower:u32le  x:f64le  y:f64le  t:f64le
 //!          smoothed:u8  [sx:f64le  sy:f64le]   (present iff smoothed = 1)
 //! traj  := n:u32le  n × point
-//!
-//! state := version:u8 (= 1)  lag:u32le  n:u32le  n × layer
-//!          committed_upto:u32le  k:u32le  k × seg:u32le
-//!          lc:u8  [seg:u32le  t:f64le  obs:f64le]   (present iff lc = 1)
-//!          4 × u64le                                (degradation counters)
-//! layer := x:f64le  y:f64le  t:f64le  m:u32le
-//!          m × (seg:u32le  ct:f64le  obs:f64le)
-//!          m × f:f64le
-//!          m × pre:u32le                    (0xffff_ffff encodes "none")
 //! ```
 //!
 //! All integers are little-endian; floats are IEEE-754 bit patterns, so a
@@ -61,10 +54,8 @@
 use crate::admission::RejectReason;
 use lhmm_cellsim::tower::TowerId;
 use lhmm_cellsim::traj::{CellularPoint, CellularTrajectory};
-use lhmm_core::error::{Degradation, MatchError};
+use lhmm_core::error::MatchError;
 use lhmm_core::registry::{ModelManifest, ModelVersion};
-use lhmm_core::streaming::BeamState;
-use lhmm_core::types::Candidate;
 use lhmm_geo::Point;
 use lhmm_network::graph::SegmentId;
 use std::fmt;
@@ -73,11 +64,6 @@ use std::io::{self, Read, Write};
 /// Maximum frame payload size in bytes (16 MiB ≈ 400k trajectory points):
 /// a decoding bound against hostile or corrupt length prefixes.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
-
-/// Version byte leading every beam-state body. Bumped on any layout
-/// change; a decoder seeing a different version refuses the frame with a
-/// typed error instead of misreading it.
-pub const BEAM_STATE_VERSION: u8 = 1;
 
 /// Anything that can go wrong while reading or writing frames.
 #[derive(Debug)]
@@ -144,26 +130,6 @@ pub enum Request {
     /// Liveness probe (cluster health plane). Answered with
     /// [`Response::Pong`] without touching any session.
     Ping,
-    /// Capture `client`'s streaming session as a [`BeamState`] and evict
-    /// it — the take side of a tile handoff. Answered with
-    /// [`Response::State`].
-    Snapshot {
-        /// Session key.
-        client: u64,
-    },
-    /// Re-admit a previously captured session under `client` — the give
-    /// side of a tile handoff (or crash re-admission).
-    Restore {
-        /// Session key.
-        client: u64,
-        /// Registry model version the session was pinned to (0 = pin the
-        /// active version on re-admission). Carrying the explicit version
-        /// across handoffs is what keeps a session on one model even when
-        /// it migrates between shards mid-swap.
-        version: u32,
-        /// The captured session state.
-        state: BeamState,
-    },
     /// Atomically swap the active model version: promote `version`, or
     /// roll back to the previous version when `version` is 0. Answered
     /// with [`Response::Models`].
@@ -263,11 +229,6 @@ pub enum Response {
         /// Live session count at the instant of the probe.
         sessions: u32,
     },
-    /// A captured session state (answer to [`Request::Snapshot`]).
-    State {
-        /// The captured session state.
-        state: BeamState,
-    },
     /// A registry snapshot (answer to the model-plane requests).
     Models {
         /// The active version.
@@ -291,8 +252,6 @@ const TAG_OPEN: u8 = 0x02;
 const TAG_PUSH: u8 = 0x03;
 const TAG_FINISH: u8 = 0x04;
 const TAG_PING: u8 = 0x05;
-const TAG_SNAPSHOT: u8 = 0x06;
-const TAG_RESTORE: u8 = 0x07;
 const TAG_SWAP: u8 = 0x08;
 const TAG_SHADOW: u8 = 0x09;
 const TAG_VERSIONS: u8 = 0x0a;
@@ -302,7 +261,6 @@ const TAG_PUSHED: u8 = 0x82;
 const TAG_REJECT: u8 = 0x83;
 const TAG_FAILED: u8 = 0x84;
 const TAG_PONG: u8 = 0x85;
-const TAG_STATE: u8 = 0x86;
 const TAG_MODELS: u8 = 0x87;
 
 /// Decoding bound on manifest labels (matches the registry's own cap).
@@ -322,57 +280,6 @@ fn put_f64(buf: &mut Vec<u8>, v: f64) {
     buf.extend_from_slice(&v.to_bits().to_le_bytes());
 }
 
-fn put_u64_counter(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Sentinel encoding `None` in backpointer arrays. Real backpointers index
-/// a candidate layer and are far below it (layers are bounded by the frame
-/// cap alone).
-const PRE_NONE: u32 = u32::MAX;
-
-fn put_beam_state(buf: &mut Vec<u8>, s: &BeamState) {
-    buf.push(BEAM_STATE_VERSION);
-    put_u32(buf, s.lag as u32);
-    put_u32(buf, s.layers.len() as u32);
-    for (i, layer) in s.layers.iter().enumerate() {
-        let (p, t) = s.pts[i];
-        put_f64(buf, p.x);
-        put_f64(buf, p.y);
-        put_f64(buf, t);
-        put_u32(buf, layer.len() as u32);
-        for c in layer {
-            put_u32(buf, c.seg.0);
-            put_f64(buf, c.t);
-            put_f64(buf, c.obs);
-        }
-        for &v in &s.f[i] {
-            put_f64(buf, v);
-        }
-        for &p in &s.pre[i] {
-            put_u32(buf, p.map_or(PRE_NONE, |j| j as u32));
-        }
-    }
-    put_u32(buf, s.committed_upto as u32);
-    put_u32(buf, s.committed.len() as u32);
-    for seg in &s.committed {
-        put_u32(buf, seg.0);
-    }
-    match s.last_committed {
-        Some(c) => {
-            buf.push(1);
-            put_u32(buf, c.seg.0);
-            put_f64(buf, c.t);
-            put_f64(buf, c.obs);
-        }
-        None => buf.push(0),
-    }
-    put_u64_counter(buf, s.degradation.dropped_points);
-    put_u64_counter(buf, s.degradation.disconnected_joins);
-    put_u64_counter(buf, s.degradation.clamped_scores);
-    put_u64_counter(buf, s.degradation.failed_matches);
-}
-
 fn put_point(buf: &mut Vec<u8>, p: &CellularPoint) {
     put_u32(buf, p.tower.0);
     put_f64(buf, p.pos.x);
@@ -386,83 +293,6 @@ fn put_point(buf: &mut Vec<u8>, p: &CellularPoint) {
         }
         None => buf.push(0),
     }
-}
-
-/// Decodes one beam-state body, enforcing the version byte and the
-/// structural invariants of [`BeamState::validate`] so a corrupted or
-/// hostile frame surfaces as [`WireError::Malformed`], never as a panic or
-/// an engine-corrupting state.
-fn read_beam_state(c: &mut Cursor<'_>) -> Result<BeamState, WireError> {
-    if c.u8()? != BEAM_STATE_VERSION {
-        return Err(WireError::Malformed("unsupported beam-state version"));
-    }
-    let lag = c.u32()? as usize;
-    let n = c.u32()? as usize;
-    let mut layers = Vec::with_capacity(n.min(65_536));
-    let mut pts = Vec::with_capacity(n.min(65_536));
-    let mut f = Vec::with_capacity(n.min(65_536));
-    let mut pre = Vec::with_capacity(n.min(65_536));
-    for _ in 0..n {
-        let x = c.f64()?;
-        let y = c.f64()?;
-        let t = c.f64()?;
-        pts.push((Point::new(x, y), t));
-        let m = c.u32()? as usize;
-        let mut layer = Vec::with_capacity(m.min(65_536));
-        for _ in 0..m {
-            layer.push(Candidate {
-                seg: SegmentId(c.u32()?),
-                t: c.f64()?,
-                obs: c.f64()?,
-            });
-        }
-        let mut fi = Vec::with_capacity(m.min(65_536));
-        for _ in 0..m {
-            fi.push(c.f64()?);
-        }
-        let mut pi = Vec::with_capacity(m.min(65_536));
-        for _ in 0..m {
-            let v = c.u32()?;
-            pi.push(if v == PRE_NONE { None } else { Some(v as usize) });
-        }
-        layers.push(layer);
-        f.push(fi);
-        pre.push(pi);
-    }
-    let committed_upto = c.u32()? as usize;
-    let k = c.u32()? as usize;
-    let mut committed = Vec::with_capacity(k.min(1 << 20));
-    for _ in 0..k {
-        committed.push(SegmentId(c.u32()?));
-    }
-    let last_committed = match c.u8()? {
-        0 => None,
-        1 => Some(Candidate {
-            seg: SegmentId(c.u32()?),
-            t: c.f64()?,
-            obs: c.f64()?,
-        }),
-        _ => return Err(WireError::Malformed("last-committed flag not 0/1")),
-    };
-    let degradation = Degradation {
-        dropped_points: c.u64()?,
-        disconnected_joins: c.u64()?,
-        clamped_scores: c.u64()?,
-        failed_matches: c.u64()?,
-    };
-    let state = BeamState {
-        lag,
-        layers,
-        pts,
-        f,
-        pre,
-        committed_upto,
-        committed,
-        last_committed,
-        degradation,
-    };
-    state.validate().map_err(|e| WireError::Malformed(e.0))?;
-    Ok(state)
 }
 
 /// A cursor over one frame's payload.
@@ -584,21 +414,6 @@ pub fn write_request<W: Write>(w: &mut W, req: &Request) -> Result<(), WireError
             put_u64(&mut buf, *client);
         }
         Request::Ping => buf.push(TAG_PING),
-        Request::Snapshot { client } => {
-            buf.push(TAG_SNAPSHOT);
-            put_u64(&mut buf, *client);
-        }
-        Request::Restore {
-            client,
-            version,
-            state,
-        } => {
-            state.validate().map_err(|e| WireError::Malformed(e.0))?;
-            buf.push(TAG_RESTORE);
-            put_u64(&mut buf, *client);
-            put_u32(&mut buf, *version);
-            put_beam_state(&mut buf, state);
-        }
         Request::Swap { version } => {
             buf.push(TAG_SWAP);
             put_u32(&mut buf, *version);
@@ -644,12 +459,6 @@ pub fn read_request<R: Read>(r: &mut R) -> Result<Request, WireError> {
         },
         TAG_FINISH => Request::Finish { client: c.u64()? },
         TAG_PING => Request::Ping,
-        TAG_SNAPSHOT => Request::Snapshot { client: c.u64()? },
-        TAG_RESTORE => Request::Restore {
-            client: c.u64()?,
-            version: c.u32()?,
-            state: read_beam_state(&mut c)?,
-        },
         TAG_SWAP => Request::Swap { version: c.u32()? },
         TAG_SHADOW => Request::Shadow {
             version: c.u32()?,
@@ -692,11 +501,6 @@ pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> Result<(), WireEr
         Response::Pong { sessions } => {
             buf.push(TAG_PONG);
             put_u32(&mut buf, *sessions);
-        }
-        Response::State { state } => {
-            state.validate().map_err(|e| WireError::Malformed(e.0))?;
-            buf.push(TAG_STATE);
-            put_beam_state(&mut buf, state);
         }
         Response::Models {
             active,
@@ -763,9 +567,6 @@ pub fn read_response<R: Read>(r: &mut R) -> Result<Response, WireError> {
         }),
         TAG_PONG => Response::Pong {
             sessions: c.u32()?,
-        },
-        TAG_STATE => Response::State {
-            state: read_beam_state(&mut c)?,
         },
         TAG_MODELS => {
             let active = c.u32()?;
@@ -939,85 +740,12 @@ mod tests {
         assert_eq!(WireMatchError { code: 99, a: 0, b: 0 }.to_match_error(), None);
     }
 
-    fn sample_state() -> BeamState {
-        BeamState {
-            lag: 3,
-            layers: vec![
-                vec![
-                    Candidate {
-                        seg: SegmentId(4),
-                        t: 0.25,
-                        obs: 0.5,
-                    },
-                    Candidate {
-                        seg: SegmentId(9),
-                        t: 1.0,
-                        obs: 0.125,
-                    },
-                ],
-                vec![Candidate {
-                    seg: SegmentId(2),
-                    t: 0.0,
-                    obs: 1.0,
-                }],
-            ],
-            pts: vec![
-                (Point::new(10.0, -20.5), 0.0),
-                (Point::new(11.5, -19.0), 30.0),
-            ],
-            f: vec![vec![-0.5, f64::NEG_INFINITY], vec![-1.25]],
-            pre: vec![vec![None, None], vec![Some(1)]],
-            committed_upto: 1,
-            committed: vec![SegmentId(4), SegmentId(7)],
-            last_committed: Some(Candidate {
-                seg: SegmentId(4),
-                t: 0.25,
-                obs: 0.5,
-            }),
-            degradation: Degradation {
-                dropped_points: 1,
-                disconnected_joins: 0,
-                clamped_scores: 2,
-                failed_matches: 0,
-            },
-        }
-    }
-
     #[test]
     fn cluster_frames_roundtrip_bit_exact() {
         assert!(matches!(roundtrip_request(Request::Ping), Request::Ping));
-        assert!(matches!(
-            roundtrip_request(Request::Snapshot { client: 77 }),
-            Request::Snapshot { client: 77 }
-        ));
-        let state = sample_state();
-        state.validate().expect("sample state valid");
-        match roundtrip_request(Request::Restore {
-            client: 5,
-            version: 3,
-            state: state.clone(),
-        }) {
-            Request::Restore {
-                client,
-                version,
-                state: got,
-            } => {
-                assert_eq!(client, 5);
-                assert_eq!(version, 3);
-                // BeamState equality is bitwise on every float.
-                assert_eq!(got, state);
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
         assert_eq!(
             roundtrip_response(Response::Pong { sessions: 12 }),
             Response::Pong { sessions: 12 }
-        );
-        assert_eq!(
-            roundtrip_response(Response::State {
-                state: state.clone()
-            }),
-            Response::State { state }
         );
     }
 
@@ -1088,86 +816,6 @@ mod tests {
         assert!(matches!(
             read_response(&mut &buf[..]),
             Err(WireError::Malformed("manifest label too long"))
-        ));
-    }
-
-    #[test]
-    fn invalid_beam_states_are_refused_on_both_sides() {
-        // Encoding an invalid state fails instead of writing garbage.
-        let mut bad = sample_state();
-        bad.f.pop();
-        let mut buf = Vec::new();
-        assert!(matches!(
-            write_request(
-                &mut buf,
-                &Request::Restore {
-                    client: 1,
-                    version: 0,
-                    state: bad
-                }
-            ),
-            Err(WireError::Malformed(_))
-        ));
-
-        // A wrong version byte is refused.
-        let state = sample_state();
-        let mut body = vec![TAG_RESTORE];
-        put_u64(&mut body, 1);
-        put_u32(&mut body, 0);
-        let at = body.len();
-        put_beam_state(&mut body, &state);
-        body[at] = BEAM_STATE_VERSION + 1;
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &body).expect("encode");
-        assert!(matches!(
-            read_request(&mut &framed[..]),
-            Err(WireError::Malformed("unsupported beam-state version"))
-        ));
-
-        // A structurally invalid body (out-of-range backpointer) is refused
-        // by the decoder even though every field parses.
-        let mut twisted = state;
-        twisted.pre[1][0] = Some(7);
-        let mut body = vec![TAG_RESTORE];
-        put_u64(&mut body, 1);
-        put_u32(&mut body, 0);
-        body.push(BEAM_STATE_VERSION);
-        put_u32(&mut body, twisted.lag as u32);
-        put_u32(&mut body, twisted.layers.len() as u32);
-        for (i, layer) in twisted.layers.iter().enumerate() {
-            let (p, t) = twisted.pts[i];
-            put_f64(&mut body, p.x);
-            put_f64(&mut body, p.y);
-            put_f64(&mut body, t);
-            put_u32(&mut body, layer.len() as u32);
-            for c in layer {
-                put_u32(&mut body, c.seg.0);
-                put_f64(&mut body, c.t);
-                put_f64(&mut body, c.obs);
-            }
-            for &v in &twisted.f[i] {
-                put_f64(&mut body, v);
-            }
-            for &p in &twisted.pre[i] {
-                put_u32(&mut body, p.map_or(PRE_NONE, |j| j as u32));
-            }
-        }
-        put_u32(&mut body, twisted.committed_upto as u32);
-        put_u32(&mut body, twisted.committed.len() as u32);
-        for seg in &twisted.committed {
-            put_u32(&mut body, seg.0);
-        }
-        body.push(0);
-        // last_committed None + committed_upto 1 is itself invalid, which
-        // is fine: either invariant may trip first, both are Malformed.
-        for _ in 0..4 {
-            put_u64_counter(&mut body, 0);
-        }
-        let mut framed = Vec::new();
-        write_frame(&mut framed, &body).expect("encode");
-        assert!(matches!(
-            read_request(&mut &framed[..]),
-            Err(WireError::Malformed(_))
         ));
     }
 

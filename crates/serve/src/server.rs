@@ -147,37 +147,6 @@ impl Shared<'_, '_> {
             Request::Ping => Response::Pong {
                 sessions: self.sessions.lock().len() as u32,
             },
-            Request::Snapshot { client } => {
-                if self.shutting_down.load(Ordering::Acquire) {
-                    self.metrics.on_rejected(RejectReason::ShuttingDown);
-                    return Response::Reject(RejectReason::ShuttingDown);
-                }
-                let mut sessions = self.sessions.lock();
-                match sessions.take_snapshot(client, &self.metrics) {
-                    Some(state) => Response::State { state },
-                    // Same typed verdict as Finish on an unknown session
-                    // (EmptyTrajectory, code 0): nothing to hand off.
-                    None => Response::Failed(WireMatchError { code: 0, a: 0, b: 0 }),
-                }
-            }
-            Request::Restore { client, version, state } => {
-                if self.shutting_down.load(Ordering::Acquire) {
-                    self.metrics.on_rejected(RejectReason::ShuttingDown);
-                    return Response::Reject(RejectReason::ShuttingDown);
-                }
-                // A handed-off session keeps the pin of its original
-                // admission (the router sends the resolved version), so a
-                // swap mid-handoff never mixes versions within a session.
-                let Ok(pin) = self.registry.resolve(version) else {
-                    self.metrics.on_rejected(RejectReason::Invalid);
-                    return Response::Reject(RejectReason::Invalid);
-                };
-                let mut sessions = self.sessions.lock();
-                match sessions.import(client, state, pin, &self.metrics) {
-                    Ok(()) => Response::Pushed { committed: 0 },
-                    Err(reason) => Response::Reject(reason),
-                }
-            }
             Request::Swap { version } => {
                 if self.shutting_down.load(Ordering::Acquire) {
                     self.metrics.on_rejected(RejectReason::ShuttingDown);
@@ -265,8 +234,12 @@ impl Shared<'_, '_> {
                 Ok(r) => r,
                 // Disconnect, malformed frame, or drain-time shutdown of
                 // the socket all end the connection; the framing error is
-                // the client's to observe.
-                Err(_) => return,
+                // the client's to observe, as EOF (the peer list holds a
+                // clone of the socket until drain).
+                Err(_) => {
+                    let _ = stream.shutdown(std::net::Shutdown::Both);
+                    return;
+                }
             };
             let resp = self.respond(req);
             if write_response(&mut stream, &resp).is_err() {

@@ -30,7 +30,7 @@ use lhmm_core::candidates::{nearest_segments, to_candidates};
 use lhmm_core::classic::{ClassicModel, ClassicObservation, ClassicTransition};
 use lhmm_core::error::MatchError;
 use lhmm_core::registry::VersionedModel;
-use lhmm_core::streaming::{BeamState, StreamingEngine};
+use lhmm_core::streaming::StreamingEngine;
 use lhmm_network::graph::RoadNetwork;
 use lhmm_network::path::Path;
 use lhmm_network::spatial::SpatialIndex;
@@ -77,9 +77,8 @@ struct Session<'a> {
     /// session's lifetime (reopening a key re-pins, because a new trip is
     /// a new admission).
     pin: Arc<VersionedModel>,
-    /// Observations this session accepted locally, kept for refresh
-    /// statistics at finish time. Imported sessions restart empty: only
-    /// pushes this shard actually matched are credited here.
+    /// Observations this session accepted, kept for refresh statistics
+    /// at finish time.
     points: Vec<CellularPoint>,
     last_touch: Instant,
     /// Monotone use stamp for LRU ordering (ties impossible).
@@ -96,7 +95,7 @@ pub struct SessionFinish {
     pub disconnected_joins: u64,
     /// Registry version the session was pinned to at admission.
     pub version: u32,
-    /// Observations the session accepted locally, for
+    /// Observations the session accepted, for
     /// [`ModelRegistry::observe`](lhmm_core::registry::ModelRegistry::observe).
     pub points: Vec<CellularPoint>,
 }
@@ -113,8 +112,9 @@ pub struct SessionManager<'a> {
     /// Tile view for sharded serving: positions inside the tile core run
     /// candidate preparation against the tile's subset index (byte-exact
     /// because the halo covers the search radius); positions outside the
-    /// core — possible transiently around a handoff or under teleport
-    /// faults — fall back to the full index. `None` for unsharded serving.
+    /// core — every push after a session leaves the tile it opened on, or
+    /// a teleport fault — fall back to the full index. `None` for
+    /// unsharded serving.
     scope: Option<&'a TileScope>,
 }
 
@@ -341,83 +341,6 @@ impl<'a> SessionManager<'a> {
         n
     }
 
-    /// Captures and evicts `client`'s session for handoff to another shard
-    /// (take semantics — after this the session no longer exists here).
-    /// Unknown clients get `None`.
-    pub fn take_snapshot(&mut self, client: u64, metrics: &ServeMetrics) -> Option<BeamState> {
-        let session = self.sessions.remove(&client)?;
-        let state = session.engine.snapshot();
-        metrics.on_session_exported();
-        Some(state)
-    }
-
-    /// Re-admits a session captured elsewhere under `client`, rebuilding
-    /// the per-trajectory model from the state's positions and pinning it
-    /// to `pin` (the router resolves the version the session was
-    /// originally admitted under, so a handoff never changes a session's
-    /// pin). Replaces any existing session with the same key (its state is
-    /// superseded by the imported one). Subject to the same capacity
-    /// policy as `open`; a state that fails validation against this
-    /// network is [`RejectReason::Invalid`].
-    pub fn import(
-        &mut self,
-        client: u64,
-        state: BeamState,
-        pin: Arc<VersionedModel>,
-        metrics: &ServeMetrics,
-    ) -> Result<(), RejectReason> {
-        self.sweep_idle(metrics);
-        if self.sessions.contains_key(&client) {
-            // Superseded by the imported state; drop without finalizing
-            // (the imported state carries the authoritative session).
-            self.sessions.remove(&client);
-        } else if self.sessions.len() >= self.policy.max_sessions {
-            let lru = self
-                .sessions
-                .iter()
-                .min_by_key(|(_, s)| s.stamp)
-                .map(|(&id, s)| (id, s.last_touch));
-            match lru {
-                Some((id, touched)) if touched.elapsed() >= self.policy.lru_evict_min_idle => {
-                    if let Some(mut s) = self.sessions.remove(&id) {
-                        let _ = s.engine.finalize();
-                        metrics.on_session_evicted_lru();
-                        metrics.on_session_finalized();
-                    }
-                }
-                _ => {
-                    metrics.on_rejected(RejectReason::SessionLimit);
-                    return Err(RejectReason::SessionLimit);
-                }
-            }
-        }
-        let lag = state.lag;
-        let positions = state.positions();
-        let mut engine = StreamingEngine::with_backend(self.net, lag, pin.model.sp_handle());
-        if engine.restore(state).is_err() {
-            metrics.on_rejected(RejectReason::Invalid);
-            return Err(RejectReason::Invalid);
-        }
-        let stamp = self.stamp();
-        self.sessions.insert(
-            client,
-            Session {
-                engine,
-                model: ClassicModel::new(
-                    ClassicObservation::cellular(),
-                    ClassicTransition::cellular(),
-                    positions,
-                ),
-                pin,
-                points: Vec::new(),
-                last_touch: Instant::now(),
-                stamp,
-            },
-        );
-        metrics.on_session_imported();
-        Ok(())
-    }
-
     /// Drops every session without finalizing — the simulated crash path
     /// (and hard abort): in-flight state is lost exactly as a process kill
     /// would lose it. Returns how many were dropped.
@@ -562,70 +485,6 @@ mod tests {
         assert!(mgr.is_empty());
         let report = metrics.snapshot(0, 0);
         assert_eq!(report.sessions_evicted_idle, 2);
-    }
-
-    #[test]
-    fn snapshot_import_handoff_matches_uninterrupted_session() {
-        let ds = Dataset::generate(&DatasetConfig::tiny_test(317));
-        let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
-        let rec = &ds.test[0];
-        let cut = rec.cellular.points.len() / 2;
-
-        // Reference: one manager, one uninterrupted session.
-        let mut solo = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
-        solo.open(1, 2, Arc::clone(&pin), &metrics).expect("open");
-        let mut solo_commits = Vec::new();
-        for p in &rec.cellular.points {
-            solo_commits.push(solo.push(1, p, &metrics).ok());
-        }
-        let want = solo.finish(1, &metrics).expect("finish");
-
-        // Handoff: push to A, snapshot at the cut, import into B, finish
-        // there — the shard-to-shard journey of a boundary-crossing trip.
-        let mut a = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
-        let mut b = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
-        a.open(1, 2, Arc::clone(&pin), &metrics).expect("open");
-        let mut commits = Vec::new();
-        for p in &rec.cellular.points[..cut] {
-            commits.push(a.push(1, p, &metrics).ok());
-        }
-        let state = a.take_snapshot(1, &metrics).expect("session exists");
-        assert!(a.is_empty(), "take semantics: session gone from source");
-        assert!(a.finish(1, &metrics).is_none());
-        b.import(1, state, Arc::clone(&pin), &metrics).expect("import");
-        for p in &rec.cellular.points[cut..] {
-            commits.push(b.push(1, p, &metrics).ok());
-        }
-        let got = b.finish(1, &metrics).expect("finish");
-        assert_eq!(got.path.segments, want.path.segments);
-        assert_eq!(got.version, want.version, "handoff keeps the pin");
-        assert_eq!(commits, solo_commits, "commit cadence diverged");
-        let report = metrics.snapshot(0, 0);
-        assert_eq!(report.sessions_exported, 1);
-        assert_eq!(report.sessions_imported, 1);
-    }
-
-    #[test]
-    fn import_rejects_foreign_garbage_as_invalid() {
-        let ds = Dataset::generate(&DatasetConfig::tiny_test(318));
-        let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
-        let mut mgr = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
-        mgr.open(1, 1, Arc::clone(&pin), &metrics).expect("open");
-        for p in &ds.test[0].cellular.points[..4] {
-            let _ = mgr.push(1, p, &metrics);
-        }
-        let mut state = mgr.take_snapshot(1, &metrics).expect("snapshot");
-        // Point a candidate at a segment the destination network lacks.
-        state.layers[0][0].seg = lhmm_network::graph::SegmentId(u32::MAX - 1);
-        assert_eq!(
-            mgr.import(1, state, Arc::clone(&pin), &metrics),
-            Err(RejectReason::Invalid)
-        );
-        assert!(mgr.is_empty());
-        let report = metrics.snapshot(0, 0);
-        assert_eq!(report.rejected_for(RejectReason::Invalid), 1);
     }
 
     #[test]

@@ -4,15 +4,17 @@
 //!
 //! * Adversarial-corpus one-shot verdict fingerprints through a 4-shard
 //!   cluster equal the single-process and offline-serial fingerprints.
-//! * Streaming sessions that cross tile boundaries mid-stream (beam-state
-//!   handoff over the wire) commit and finish byte-identically to an
-//!   uninterrupted single-process session and to offline full-lag Viterbi.
-//! * Killing a shard mid-stream, or right before `finish`, loses nothing:
-//!   the supervisor restarts it, the router replays its journal, and final
-//!   routes are unchanged.
-//! * Re-opening a key whose handoff was shed still finalizes the previous
+//! * Streaming sessions that cross tile boundaries mid-stream (they stay
+//!   on the shard of their first accepted push) commit and finish
+//!   byte-identically to an uninterrupted single-process session and to
+//!   offline full-lag Viterbi, and feed the same refresh statistics.
+//! * Killing a shard mid-stream, or killing a session's home shard right
+//!   before `finish`, loses nothing: the supervisor restarts it, the
+//!   router replays its journal, and final routes are unchanged.
+//! * Re-opening a key whose replay was shed still finalizes the previous
 //!   trajectory from the router's journal.
-//! * The internal snapshot/restore plane is rejected at the router.
+//! * Frames with the retired handoff tags end the connection at the router
+//!   without a reply, and the router keeps serving.
 
 use lhmm_cellsim::dataset::{Dataset, DatasetConfig};
 use lhmm_cellsim::faults::AdversarialCorpus;
@@ -26,11 +28,11 @@ use lhmm_core::types::{Candidate, MatchContext};
 use lhmm_core::viterbi::{EngineConfig, HmmEngine};
 use lhmm_geo::Point;
 use lhmm_network::graph::SegmentId;
-use lhmm_serve::protocol::{read_response, write_request, Request, Response};
 use lhmm_serve::{
     ClientError, ClusterConfig, ClusterHandle, ClusterTopology, RejectReason, ServeClient,
     ServeConfig, ServeCtx, ServerHandle, SessionPolicy,
 };
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
@@ -223,7 +225,7 @@ fn four_shard_oneshot_fingerprint_equals_single_process_and_offline() {
 }
 
 #[test]
-fn streaming_handoff_across_tiles_is_byte_identical_to_single_process() {
+fn streaming_across_tiles_is_byte_identical_to_single_process() {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(502));
     let registry = ModelRegistry::new(cheap_model(&ds, 502), "v1");
     let sessions = SessionPolicy::default();
@@ -232,8 +234,8 @@ fn streaming_handoff_across_tiles_is_byte_identical_to_single_process() {
     let trajs: Vec<CellularTrajectory> =
         ds.test.iter().take(4).map(|r| r.cellular.clone()).collect();
 
-    // Every trajectory must cross at least one tile boundary for this test
-    // to exercise handoff; the dataset seed guarantees it.
+    // The trajectories must cross tile boundaries for this test to match
+    // pushes outside the home tile; the dataset seed guarantees it.
     let crossings: usize = trajs
         .iter()
         .map(|t| {
@@ -294,12 +296,76 @@ fn streaming_handoff_across_tiles_is_byte_identical_to_single_process() {
         }
 
         let report = cluster.shutdown_and_drain();
-        assert!(report.handoffs >= 1, "no mid-stream handoff happened");
-        assert!(report.merged.sessions_exported >= 1);
-        assert!(report.merged.sessions_imported >= 1);
         assert_eq!(report.in_flight_lost(), 0);
         single.shutdown_and_drain();
     });
+}
+
+/// A session that crosses tiles must credit every accepted point to the
+/// refresh statistics at finish, as single-process serving does: the
+/// home shard holds the whole trip, so both registries end up equal.
+#[test]
+fn tile_crossing_sessions_feed_the_same_refresh_statistics_as_single_process() {
+    let ds = Dataset::generate(&DatasetConfig::tiny_test(502));
+    let single_reg = ModelRegistry::new(cheap_model(&ds, 502), "v1");
+    let cluster_reg = ModelRegistry::new(cheap_model(&ds, 502), "v1");
+    let sessions = SessionPolicy::default();
+    let topology = ClusterTopology::build(&ds.network, &ds.index, 2, 2, sessions.radius);
+    let trajs: Vec<CellularTrajectory> =
+        ds.test.iter().take(4).map(|r| r.cellular.clone()).collect();
+    let crossings = trajs
+        .iter()
+        .flat_map(|t| t.points.windows(2))
+        .filter(|w| topology.route(w[0].effective_pos()) != topology.route(w[1].effective_pos()))
+        .count();
+    assert!(crossings > 0, "seed produced no tile-crossing trajectories");
+
+    thread::scope(|s| {
+        let config = ServeConfig {
+            sessions,
+            ..Default::default()
+        };
+        let single = ServerHandle::start(
+            s,
+            ServeCtx {
+                ctx: ctx(&ds),
+                registry: &single_reg,
+                scope: None,
+            },
+            config.clone(),
+        )
+        .expect("bind single");
+        let cluster = ClusterHandle::start(
+            s,
+            ServeCtx {
+                ctx: ctx(&ds),
+                registry: &cluster_reg,
+                scope: None,
+            },
+            &topology,
+            ClusterConfig {
+                shard: config,
+                ..Default::default()
+            },
+        )
+        .expect("bind cluster");
+        for (i, traj) in trajs.iter().enumerate() {
+            let session = 2500 + i as u64;
+            let want = stream_session(single.addr(), session, 4, traj);
+            let got = stream_session(cluster.addr(), session, 4, traj);
+            assert_eq!(got, want, "session {session}: routes diverged");
+        }
+        assert_eq!(cluster.shutdown_and_drain().in_flight_lost(), 0);
+        single.shutdown_and_drain();
+    });
+
+    let want = single_reg.stats();
+    assert_eq!(want.observed_matches, trajs.len() as u64);
+    assert_eq!(
+        cluster_reg.stats(),
+        want,
+        "cluster refresh statistics diverged from single-process"
+    );
 }
 
 #[test]
@@ -325,26 +391,21 @@ fn shard_crash_mid_stream_recovers_with_nothing_lost() {
             let want = stream_session(single.addr(), session, 4, traj);
 
             // Same stream against the cluster, but kill the shard that
-            // holds the session halfway through.
+            // holds the session (its first push's tile) halfway through.
             let mut client = ServeClient::connect(cluster.addr()).expect("connect");
             client.open(session, 4).expect("open");
             let mut trace = Vec::new();
             let cut = traj.points.len() / 2;
-            let mut last_tile = None;
+            let home = topology.route(traj.points[0].effective_pos());
             for (j, p) in traj.points.iter().enumerate() {
                 if j == cut {
-                    if let Some(tile) = last_tile {
-                        assert!(
-                            cluster.kill_shard(tile),
-                            "session {session}: shard {tile} was already down"
-                        );
-                    }
+                    assert!(
+                        cluster.kill_shard(home),
+                        "session {session}: shard {home} was already down"
+                    );
                 }
                 match client.push(session, p) {
-                    Ok(committed) => {
-                        trace.push(Ok(committed));
-                        last_tile = Some(topology.route(p.effective_pos()));
-                    }
+                    Ok(committed) => trace.push(Ok(committed)),
                     Err(ClientError::Failed(
                         e @ (MatchError::NoCandidates | MatchError::EmptyLayer { .. }),
                     )) => trace.push(Err(format!("{e:?}"))),
@@ -371,9 +432,10 @@ fn shard_crash_mid_stream_recovers_with_nothing_lost() {
     });
 }
 
-/// A shard killed right before `finish` of a long session: the router
-/// rebuilds the session from its journal on the restarted shard, and the
-/// final route still equals offline Viterbi.
+/// The session's home shard (the tile of its first push) killed
+/// right before `finish` of a long session: the router rebuilds the
+/// session from its journal on the restarted shard, and the final route
+/// still equals offline Viterbi.
 #[test]
 fn shard_killed_before_finish_of_a_long_session_loses_nothing() {
     let mut config = DatasetConfig::tiny_test(505);
@@ -415,15 +477,17 @@ fn shard_killed_before_finish_of_a_long_session_loses_nothing() {
         client
             .open(session, (traj.len() + 1) as u32)
             .expect("open");
-        let mut last_tile = None;
+        let mut accepted = 0;
         for p in &traj.points {
             match client.push(session, p) {
-                Ok(_) => last_tile = Some(topology.route(p.effective_pos())),
+                Ok(_) => accepted += 1,
                 Err(ClientError::Failed(MatchError::NoCandidates | MatchError::EmptyLayer { .. })) => {}
                 Err(e) => panic!("push failed: {e}"),
             }
         }
-        let tile = last_tile.expect("no push was accepted");
+        assert!(accepted > 0, "no push was accepted");
+        // The shard-side session opened on the first push's tile.
+        let tile = topology.route(traj.points[0].effective_pos());
         assert!(cluster.kill_shard(tile), "shard {tile} was already down");
         let reply = client.finish(session).expect("finish after kill");
         assert_eq!(reply.segments, offline, "route diverged from offline after the kill");
@@ -434,11 +498,11 @@ fn shard_killed_before_finish_of_a_long_session_loses_nothing() {
     });
 }
 
-/// A handoff shed at the target shard leaves a session that no shard
+/// A replay shed at the target shard leaves a session that no shard
 /// holds, only the router's journal. Re-opening its key must still
 /// finalize the previous trajectory, as single-process reopen does.
 #[test]
-fn reopen_after_a_shed_handoff_finalizes_the_previous_trajectory() {
+fn reopen_after_a_shed_replay_finalizes_the_previous_trajectory() {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(506));
     let registry = ModelRegistry::new(cheap_model(&ds, 506), "v1");
     // One session slot per shard, and no LRU eviction of an active one.
@@ -464,12 +528,6 @@ fn reopen_after_a_shed_handoff_finalizes_the_previous_trajectory() {
         .max_by_key(|run| run.len())
         .expect("non-empty test split");
     assert!(trip.len() >= 2, "no trajectory starts with a tile-0 run");
-    let on_tile_1 = ds
-        .test
-        .iter()
-        .flat_map(|r| r.cellular.points.iter().copied())
-        .find(|p| tile_of(p) == 1)
-        .expect("no test point on tile 1");
 
     thread::scope(|s| {
         let serve = ServeCtx {
@@ -496,27 +554,28 @@ fn reopen_after_a_shed_handoff_finalizes_the_previous_trajectory() {
             Err(e) => panic!("push failed: {e}"),
         };
 
-        // B takes tile 1's only slot.
-        client.open(b, lag).expect("open B");
-        typed_or_ok(client.push(b, &on_tile_1));
-        // A streams on tile 0, then crosses into tile 1: the restore there
-        // is shed, so the journal is the session's only copy.
+        // A streams all but the last point of its trip on tile 0.
+        let (last, head) = trip.split_last().expect("trip has points");
         client.open(a, lag).expect("open A");
-        let accepted = trip
-            .iter()
-            .filter(|p| typed_or_ok(client.push(a, p)))
-            .count();
+        let accepted = head.iter().filter(|p| typed_or_ok(client.push(a, p))).count();
         assert!(accepted >= 1, "no push of A's trip was accepted");
-        match client.push(a, &on_tile_1) {
+        // Shard 0 dies with A on it; B takes the restarted shard's only
+        // slot.
+        assert!(cluster.kill_shard(0), "shard 0 was already down");
+        client.open(b, lag).expect("open B");
+        typed_or_ok(client.push(b, &trip[0]));
+        // A's next push finds its session gone, and the replay onto tile 0
+        // is shed: the journal is the session's only copy.
+        match client.push(a, last) {
             Err(ClientError::Rejected(RejectReason::SessionLimit)) => {}
-            other => panic!("expected the handoff to be shed, got {other:?}"),
+            other => panic!("expected the replay to be shed, got {other:?}"),
         }
+        client.finish(b).expect("finish B");
 
         // Re-opening A's key finalizes its first trip on tile 0.
         client.open(a, lag).expect("reopen A");
         let reply = client.finish(a).expect("finish A's second trip");
         assert!(reply.segments.is_empty(), "A's second trip pushed nothing");
-        client.finish(b).expect("finish B");
 
         let report = cluster.shutdown_and_drain();
         assert_eq!(
@@ -528,8 +587,11 @@ fn reopen_after_a_shed_handoff_finalizes_the_previous_trajectory() {
     });
 }
 
+/// A frame with a retired handoff tag (0x06, once the snapshot request) is
+/// malformed: the router ends that connection without a reply and keeps
+/// serving everyone else.
 #[test]
-fn snapshot_and_restore_are_rejected_on_the_public_plane() {
+fn retired_handoff_frames_end_the_connection_at_the_router() {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(504));
     let registry = ModelRegistry::new(cheap_model(&ds, 504), "v1");
     let topology = ClusterTopology::build(&ds.network, &ds.index, 2, 1, 3000.0);
@@ -548,21 +610,31 @@ fn snapshot_and_restore_are_rejected_on_the_public_plane() {
         .expect("bind cluster");
 
         let mut stream = TcpStream::connect(cluster.addr()).expect("connect");
-        write_request(&mut stream, &Request::Snapshot { client: 7 }).expect("write");
-        match read_response(&mut stream).expect("read") {
-            Response::Reject(RejectReason::Invalid) => {}
-            other => panic!("expected Invalid reject for public Snapshot, got {other:?}"),
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        // len = 9 | tag 0x06 | client u64 = 7
+        let mut frame = 9u32.to_le_bytes().to_vec();
+        frame.push(0x06);
+        frame.extend_from_slice(&7u64.to_le_bytes());
+        stream.write_all(&frame).expect("write");
+        let mut reply = Vec::new();
+        match stream.read_to_end(&mut reply) {
+            Ok(_) => assert!(reply.is_empty(), "router replied to a retired tag: {reply:?}"),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("connection did not end: {e}"),
         }
 
+        let mut client = ServeClient::connect(cluster.addr()).expect("connect");
+        assert_eq!(client.ping().expect("ping after a retired tag"), 0);
         // An opened-but-never-pushed session finishes with the empty route,
         // exactly like single-process serving.
-        let mut client = ServeClient::connect(cluster.addr()).expect("connect");
         client.open(9, 4).expect("open");
         let reply = client.finish(9).expect("finish");
         assert!(reply.segments.is_empty());
         assert!(!reply.degraded);
 
         let report = cluster.shutdown_and_drain();
-        assert_eq!(report.merged.rejected_for(RejectReason::Invalid), 1);
+        assert_eq!(report.in_flight_lost(), 0);
     });
 }

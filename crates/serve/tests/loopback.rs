@@ -28,6 +28,8 @@ use lhmm_serve::{
     BatchPolicy, ClientError, RejectReason, ServeClient, ServeConfig, ServeCtx, ServerHandle,
     SessionPolicy,
 };
+use std::io::{ErrorKind, Read, Write};
+use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
@@ -448,6 +450,42 @@ fn oversized_oneshots_are_shed_before_the_queue() {
         let report = server.shutdown_and_drain();
         assert_eq!(report.rejected_for(RejectReason::Oversized), 1);
         assert_eq!(report.admitted, 0);
+    });
+}
+
+/// A malformed frame (here a retired tag) ends its connection with EOF
+/// right away — not at drain — and the server keeps serving others.
+#[test]
+fn malformed_frame_ends_the_connection_and_the_server_keeps_serving() {
+    let ds = Dataset::generate(&DatasetConfig::tiny_test(408));
+    let registry = ModelRegistry::new(cheap_model(&ds, 408), "v1");
+
+    thread::scope(|s| {
+        let server = ServerHandle::start(
+            s,
+            ServeCtx {
+                ctx: ctx(&ds),
+                registry: &registry,
+                scope: None,
+            },
+            ServeConfig::default(),
+        )
+        .expect("bind loopback");
+        let mut stream = TcpStream::connect(server.addr()).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        // len = 1 | tag 0x86 (retired; never a request tag)
+        stream.write_all(&[1, 0, 0, 0, 0x86]).expect("write");
+        let mut reply = Vec::new();
+        match stream.read_to_end(&mut reply) {
+            Ok(_) => assert!(reply.is_empty(), "server replied to a malformed frame: {reply:?}"),
+            Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+            Err(e) => panic!("connection did not end: {e}"),
+        }
+        let mut client = ServeClient::connect(server.addr()).expect("connect");
+        assert_eq!(client.ping().expect("ping after a malformed frame"), 0);
+        assert_eq!(server.shutdown_and_drain().in_flight_lost(), 0);
     });
 }
 

@@ -1,16 +1,14 @@
 //! Protocol hardening: the frame decoders must never panic, whatever the
 //! bytes — truncated frames, oversized length prefixes, bit flips, and
 //! arbitrary garbage all come back as typed [`WireError`]s (or, for a
-//! lucky bit flip, a successfully decoded frame), never a crash. The new
-//! cluster frames (Ping/Snapshot/Restore/Pong/State, including the
-//! versioned beam-state payload) are fuzzed alongside the originals.
+//! lucky bit flip, a successfully decoded frame), never a crash. The
+//! cluster health frames (Ping/Pong) and the model plane are fuzzed
+//! alongside the originals, and the retired session-handoff tags decode
+//! as malformed.
 
 use lhmm_cellsim::tower::TowerId;
 use lhmm_cellsim::traj::{CellularPoint, CellularTrajectory};
 use lhmm_core::registry::{ModelManifest, ModelVersion};
-use lhmm_core::streaming::BeamState;
-use lhmm_core::types::Candidate;
-use lhmm_core::error::Degradation;
 use lhmm_geo::Point;
 use lhmm_network::graph::SegmentId;
 use lhmm_serve::protocol::{
@@ -34,50 +32,6 @@ fn sample_point(i: u32) -> CellularPoint {
     }
 }
 
-fn sample_state() -> BeamState {
-    BeamState {
-        lag: 3,
-        layers: vec![
-            vec![
-                Candidate {
-                    seg: SegmentId(4),
-                    t: 0.25,
-                    obs: 0.5,
-                },
-                Candidate {
-                    seg: SegmentId(9),
-                    t: 1.0,
-                    obs: 0.125,
-                },
-            ],
-            vec![Candidate {
-                seg: SegmentId(2),
-                t: 0.0,
-                obs: 1.0,
-            }],
-        ],
-        pts: vec![
-            (Point::new(10.0, -20.5), 0.0),
-            (Point::new(11.5, -19.0), 30.0),
-        ],
-        f: vec![vec![-0.5, f64::NEG_INFINITY], vec![-1.25]],
-        pre: vec![vec![None, None], vec![Some(1)]],
-        committed_upto: 1,
-        committed: vec![SegmentId(4), SegmentId(7)],
-        last_committed: Some(Candidate {
-            seg: SegmentId(4),
-            t: 0.25,
-            obs: 0.5,
-        }),
-        degradation: Degradation {
-            dropped_points: 1,
-            disconnected_joins: 0,
-            clamped_scores: 2,
-            failed_matches: 0,
-        },
-    }
-}
-
 /// Every request variant, encoded.
 fn request_corpus() -> Vec<Vec<u8>> {
     let traj = CellularTrajectory {
@@ -96,12 +50,6 @@ fn request_corpus() -> Vec<Vec<u8>> {
         },
         Request::Finish { client: 7 },
         Request::Ping,
-        Request::Snapshot { client: 7 },
-        Request::Restore {
-            client: 7,
-            version: 3,
-            state: sample_state(),
-        },
         Request::Swap { version: 2 },
         Request::Shadow {
             version: 3,
@@ -132,9 +80,6 @@ fn response_corpus() -> Vec<Vec<u8>> {
         Response::Failed(WireMatchError { code: 0, a: 0, b: 0 }),
         Response::Pushed { committed: 11 },
         Response::Pong { sessions: 3 },
-        Response::State {
-            state: sample_state(),
-        },
         Response::Models {
             active: 2,
             previous: 1,
@@ -231,8 +176,9 @@ proptest! {
 
 #[test]
 fn oversized_length_prefix_is_a_typed_error_for_every_tag() {
-    // Each known tag with a declared length just past the cap: the decoder
-    // must refuse before allocating or reading the body.
+    // Each tag, retired ones included, with a declared length just past
+    // the cap: the decoder must refuse before allocating or reading the
+    // body.
     for tag in [
         0x01u8, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a, 0x0b, 0x81, 0x82, 0x83,
         0x84, 0x85, 0x86, 0x87,
@@ -254,25 +200,28 @@ fn oversized_length_prefix_is_a_typed_error_for_every_tag() {
     }
 }
 
+/// The retired handoff tags (0x06 snapshot and 0x07 restore requests,
+/// the 0x86 state response) are unknown to both decoders: whatever body
+/// follows, they come back as `Malformed`, never as a panic or a frame.
 #[test]
-fn beam_state_with_wrong_version_is_malformed_not_a_panic() {
-    let mut buf = Vec::new();
-    write_request(
-        &mut buf,
-        &Request::Restore {
-            client: 7,
-            version: 3,
-            state: sample_state(),
-        },
-    )
-    .expect("encode");
-    // Frame layout: len u32 | tag u8 | client u64 | pin u32 | version u8 | ...
-    let version_at = 4 + 1 + 8 + 4;
-    buf[version_at] = buf[version_at].wrapping_add(1);
-    match read_request(&mut Cursor::new(&buf)) {
-        Err(WireError::Malformed(msg)) => {
-            assert!(msg.contains("version"), "unexpected message: {msg}")
+fn retired_handoff_tags_are_malformed_not_a_panic() {
+    let bodies: [&[u8]; 4] = [&[], &[7, 0, 0, 0, 0, 0, 0, 0], &[0xff; 64], &[1, 3, 0, 0, 0]];
+    for body in bodies {
+        for (tag, request) in [(0x06u8, true), (0x07, true), (0x86, false)] {
+            let mut payload = vec![tag];
+            payload.extend_from_slice(body);
+            let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+            bytes.extend_from_slice(&payload);
+            let got = if request {
+                read_request(&mut Cursor::new(&bytes)).map(|_| ())
+            } else {
+                read_response(&mut Cursor::new(&bytes)).map(|_| ())
+            };
+            assert!(
+                matches!(got, Err(WireError::Malformed(_))),
+                "tag {tag:#x} with a {}-byte body: {got:?}",
+                body.len()
+            );
         }
-        other => panic!("expected Malformed for wrong beam-state version, got {other:?}"),
     }
 }

@@ -326,8 +326,8 @@ fn cluster_swap_is_atomic_and_sessions_never_mix_versions() {
     assert_eq!(topology.num_tiles(), 4);
     let stream_trajs: Vec<&CellularTrajectory> =
         ds.test.iter().take(3).map(|r| &r.cellular).collect();
-    // The streams must cross tile boundaries so version pinning is
-    // exercised across handoffs, not just within one shard.
+    // The streams must cross tile boundaries so the replays below land on
+    // other shards than the killed homes, not just on restarted ones.
     let crossings: usize = stream_trajs
         .iter()
         .map(|t| {
@@ -365,12 +365,15 @@ fn cluster_swap_is_atomic_and_sessions_never_mix_versions() {
         let addr = cluster.addr();
         let mut client = ServeClient::connect(addr).expect("connect");
 
+        let mut homes = Vec::new();
         for (i, traj) in stream_trajs.iter().enumerate() {
             let session = 7000 + i as u64;
             client
                 .open(session, (traj.points.len() + 1) as u32)
                 .expect("open session");
             push_all(&mut client, session, &traj.points[..traj.points.len() / 2]);
+            // The shard-side session opens on the first push's tile.
+            homes.push(topology.route(traj.points[0].effective_pos()));
         }
 
         assert_oneshots_match(&mut client, &trajs, &want_v1, "cluster pre-swap");
@@ -382,8 +385,16 @@ fn cluster_swap_is_atomic_and_sessions_never_mix_versions() {
 
         assert_oneshots_match(&mut client, &trajs, &want_v2, "cluster post-swap");
 
-        // Pre-swap sessions finish on their admitted pin — including any
-        // that handed off across tiles after the swap.
+        // Kill every stream's home shard: each second half then replays
+        // the journal onto a fresh shard under the pre-swap pin.
+        homes.sort_unstable();
+        homes.dedup();
+        for &tile in &homes {
+            cluster.kill_shard(tile);
+        }
+
+        // Pre-swap sessions finish on their admitted pin — including every
+        // one rebuilt by replay after the swap.
         for (i, traj) in stream_trajs.iter().enumerate() {
             let session = 7000 + i as u64;
             push_all(&mut client, session, &traj.points[traj.points.len() / 2..]);
@@ -400,7 +411,7 @@ fn cluster_swap_is_atomic_and_sessions_never_mix_versions() {
 
     assert_eq!(report.in_flight_lost(), 0, "cluster swap lost admitted work");
     assert_eq!(report.merged.model_swaps, 1);
-    assert!(report.handoffs > 0, "no handoffs — the cross-shard pin was not exercised");
+    assert!(report.replays > 0, "no replays — the post-swap pin was not exercised");
     // Lanes across all 4 shards: every pre-swap admission (one-shots and
     // all three streaming finishes) on v1, every post-swap one-shot on v2.
     // A single session served by mixed versions would move a finish into
