@@ -106,7 +106,11 @@ run cargo test -q -p lhmm-serve
 # to single-process and offline serial — including sessions that cross
 # tiles while staying on their home shard, refresh statistics equal to
 # single-process, and a shard killed mid-stream (supervisor restart +
-# journal replay, in_flight_lost() == 0) — plus decoder panic-freedom
+# journal replay, in_flight_lost() == 0) — and session endings matching
+# single-process: a key re-opened mid-trip and sessions open at drain
+# (equal refresh statistics and sessions_finalized), a push to an
+# LRU-evicted session (EmptyTrajectory, no replay), and a journal-only
+# trip finalized once at re-open or drain. Plus decoder panic-freedom
 # fuzzing, retired handoff tags included. Run serially as well: the
 # supervisor's restart path must not depend on test scheduling.
 run cargo test -q -p lhmm-serve --test cluster_loopback --test protocol_fuzz

@@ -237,7 +237,9 @@ impl MapMatcher for HeuristicHmm {
             .map(|(&p, &t)| (p, t))
             .collect();
 
-        let out = self.engine.find_path(ctx.net, &pts, layers, &mut model);
+        let Ok(out) = self.engine.try_find_path(ctx.net, &pts, layers, &mut model) else {
+            return MatchResult::empty();
+        };
         for (layer_idx, cand) in &out.added_candidates {
             candidate_sets[kept[*layer_idx]].push(cand.seg);
         }

@@ -50,7 +50,9 @@ fn bench_viterbi(c: &mut Criterion) {
                         3_000.0,
                         &mut model,
                     );
-                    engine.find_path(&ds.network, &pts, layers, &mut model)
+                    engine
+                        .try_find_path(&ds.network, &pts, layers, &mut model)
+                        .ok()
                 });
             },
         );

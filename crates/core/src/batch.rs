@@ -33,7 +33,7 @@
 //! contents only affect speed. `tests/batch_equivalence.rs` verifies this
 //! end to end for 1, 2 and 4 workers.
 
-use crate::error::{Degradation, MatchError};
+use crate::error::MatchError;
 use crate::lhmm::LhmmModel;
 use crate::types::{MatchContext, MatchResult, MatchStats};
 use crate::viterbi::HmmEngine;
@@ -67,8 +67,9 @@ impl BatchConfig {
 pub struct WorkerStats {
     /// Trajectories this worker matched.
     pub matched: usize,
-    /// Trajectories whose result was degraded (any [`Degradation`] event,
-    /// including typed failures mapped to empty results).
+    /// Trajectories whose result was degraded (any
+    /// [`Degradation`](crate::error::Degradation) event, typed failures
+    /// included).
     pub degraded: usize,
     /// Aggregated per-trajectory engine telemetry.
     pub stats: MatchStats,
@@ -182,10 +183,7 @@ impl<'a> BatchMatcher<'a> {
                                     }
                                     Err(e) => {
                                         wstats.degraded += 1;
-                                        wstats.stats.degradation.merge(&Degradation {
-                                            failed_matches: 1,
-                                            ..Degradation::default()
-                                        });
+                                        wstats.stats.degradation.failed_matches += 1;
                                         Err(e)
                                     }
                                 };

@@ -5,8 +5,10 @@
 //! pipeline answers every such input in exactly one of two ways:
 //!
 //! * **A typed [`MatchError`]** when no result can exist at all (nothing to
-//!   match, or no candidate anywhere). The `try_*` entry points return these;
-//!   the infallible legacy APIs map them to empty results.
+//!   match, or no candidate anywhere). The `try_*` entry points return
+//!   these, and each caller picks its own fallback (the batch worker loop
+//!   counts a failure as `failed_matches = 1`; `Lhmm::match_trajectory`
+//!   answers an empty result).
 //! * **A degraded `Ok`** when a best-effort result exists: points without
 //!   candidates are dropped, unroutable gaps are glued, non-finite
 //!   probability outputs are clamped to zero, and unqualified candidate
@@ -15,10 +17,9 @@
 //!   [`MatchStats`](crate::types::MatchStats) so batch workers and
 //!   `lhmm-eval` can report degradation rates.
 //!
-//! Panics are reserved for caller bugs (mismatched layer counts via the
-//! legacy `find_path`) and are never reachable from the `try_*` APIs —
-//! `tests/fault_injection.rs` sweeps the adversarial corpus across every
-//! mode to pin this.
+//! No matching entry point panics on any input, mismatched layer counts
+//! included — `tests/fault_injection.rs` sweeps the adversarial corpus
+//! across every mode to pin this.
 
 use std::fmt;
 
@@ -90,8 +91,8 @@ pub struct Degradation {
     /// Non-finite probability outputs (NaN/inf from corrupted inputs)
     /// clamped to zero before entering the DP.
     pub clamped_scores: u64,
-    /// Matches that returned a typed [`MatchError`] and were mapped to an
-    /// empty result by an infallible wrapper API.
+    /// Matches that returned a typed [`MatchError`], counted by the batch
+    /// worker loop (`BatchMatcher`).
     pub failed_matches: u64,
 }
 
@@ -132,8 +133,7 @@ mod tests {
 
     #[test]
     fn display_messages_are_stable() {
-        // `find_path` panics with these messages for caller bugs; tests
-        // (and downstream log scrapers) match on the prefixes.
+        // Tests (and downstream log scrapers) match on the prefixes.
         assert_eq!(MatchError::EmptyTrajectory.to_string(), "empty trajectory");
         assert!(MatchError::LayerMismatch { points: 3, layers: 2 }
             .to_string()

@@ -537,47 +537,15 @@ impl HmmProbabilities for LhmmTrajModel<'_> {
 }
 
 impl LhmmModel {
-    /// Matches one trajectory using a caller-provided engine.
+    /// Matches one trajectory using a caller-provided engine, reporting
+    /// unmatchable inputs as typed errors, plus per-trajectory engine
+    /// telemetry (Viterbi timing, cache layer counters, shortcut activity).
     ///
     /// The engine must have been built from [`LhmmModel::engine_config`]
     /// (any cache contents are fine: cache state never changes answers,
     /// only speed — see [`crate::batch`] for the argument). This is the
     /// single matching entry point; [`Lhmm`] and the batch matcher both
-    /// route through it.
-    pub fn match_with_engine(
-        &self,
-        ctx: &MatchContext<'_>,
-        traj: &CellularTrajectory,
-        engine: &mut HmmEngine,
-    ) -> MatchResult {
-        self.match_with_engine_stats(ctx, traj, engine).0
-    }
-
-    /// [`LhmmModel::match_with_engine`] plus per-trajectory engine
-    /// telemetry (Viterbi timing, cache layer counters, shortcut activity).
-    ///
-    /// Infallible wrapper around [`LhmmModel::try_match_with_engine_stats`]:
-    /// a typed [`MatchError`] degrades to an empty [`MatchResult`] with
-    /// `degradation.failed_matches = 1`, so pipelines that loop over
-    /// trajectories keep going and the failure stays visible in the stats.
-    pub fn match_with_engine_stats(
-        &self,
-        ctx: &MatchContext<'_>,
-        traj: &CellularTrajectory,
-        engine: &mut HmmEngine,
-    ) -> (MatchResult, MatchStats) {
-        match self.try_match_with_engine_stats(ctx, traj, engine) {
-            Ok(pair) => pair,
-            Err(_) => {
-                let mut stats = MatchStats::default();
-                stats.degradation.failed_matches = 1;
-                (MatchResult::empty(), stats)
-            }
-        }
-    }
-
-    /// Matches one trajectory, reporting unmatchable inputs as typed
-    /// errors.
+    /// route through it, each with its own fallback for a failed match.
     ///
     /// Degradation policy (see [`crate::error`]): points without nearby
     /// segments are dropped and counted; an entirely uncovered trajectory is
@@ -831,7 +799,9 @@ impl MapMatcher for Lhmm {
         ctx: &MatchContext<'_>,
         traj: &CellularTrajectory,
     ) -> MatchResult {
-        self.model.match_with_engine(ctx, traj, &mut self.engine)
+        self.model
+            .try_match_with_engine_stats(ctx, traj, &mut self.engine)
+            .map_or_else(|_| MatchResult::empty(), |(result, _)| result)
     }
 }
 

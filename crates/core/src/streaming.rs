@@ -202,19 +202,14 @@ impl<'a> StreamingEngine<'a> {
         committed_now
     }
 
-    /// Flushes the remaining lag window and returns the complete path.
-    pub fn finish(mut self) -> Path {
-        self.finalize()
-    }
-
     /// Flushes the remaining lag window, returns the complete path, and
     /// resets the session for the next trajectory.
     ///
-    /// Unlike [`StreamingEngine::finish`] this keeps the engine alive, so a
-    /// long-lived server session (or a pool of reusable engines) amortizes
-    /// the shortest-path cache across trajectories: [`SpCache`] state never
-    /// changes answers, only speed, so a reused engine is byte-identical to
-    /// a fresh one (pinned by `reused_engine_matches_fresh_engine`).
+    /// The engine stays alive, so a long-lived server session (or a pool of
+    /// reusable engines) amortizes the shortest-path cache across
+    /// trajectories: [`SpCache`] state never changes answers, only speed,
+    /// so a reused engine is byte-identical to a fresh one (pinned by
+    /// `reused_engine_matches_fresh_engine`).
     pub fn finalize(&mut self) -> Path {
         if self.layers.is_empty() {
             self.reset();
@@ -286,7 +281,7 @@ mod tests {
                 .push(positions[i], p.t, layer, &mut model)
                 .expect("non-empty layer");
         }
-        stream.finish()
+        stream.finalize()
     }
 
     #[test]
@@ -355,7 +350,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let offline = engine.find_path(&ds.network, &pts, offline_layers.clone(), &mut model);
+        let offline = engine
+            .try_find_path(&ds.network, &pts, offline_layers.clone(), &mut model)
+            .expect("valid layers");
 
         let mut stream = StreamingEngine::new(&ds.network, positions.len() + 1);
         for ((i, p), layer) in rec.cellular.points.iter().enumerate().zip(offline_layers) {
@@ -363,7 +360,7 @@ mod tests {
                 .push(positions[i], p.t, layer, &mut model)
                 .expect("non-empty layer");
         }
-        let streamed = stream.finish();
+        let streamed = stream.finalize();
         assert_eq!(streamed.segments, offline.path.segments);
     }
 
@@ -457,9 +454,9 @@ mod tests {
     #[test]
     fn empty_stream_finishes_empty() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(204));
-        let stream = StreamingEngine::new(&ds.network, 2);
+        let mut stream = StreamingEngine::new(&ds.network, 2);
         assert!(stream.is_empty());
-        assert!(stream.finish().is_empty());
+        assert!(stream.finalize().is_empty());
     }
 
     #[test]
@@ -488,6 +485,6 @@ mod tests {
         stream
             .push(positions[0], rec.cellular.points[0].t + 60.0, layer, &mut model)
             .expect("non-empty layer");
-        assert!(!stream.finish().is_empty());
+        assert!(!stream.finalize().is_empty());
     }
 }

@@ -252,34 +252,11 @@ impl HmmEngine {
     ///
     /// `pts` are the effective positions/timestamps of the trajectory points
     /// that survived candidate preparation; `layers[i]` are point `i`'s
-    /// candidates. Malformed input (length mismatch, empty layer) degrades
-    /// to an empty output and bumps `degradation.failed_matches`; use
-    /// [`Self::try_find_path`] for a typed error instead.
-    pub fn find_path<M: HmmProbabilities + ?Sized>(
-        &mut self,
-        net: &RoadNetwork,
-        pts: &[(Point, f64)],
-        layers: Vec<Vec<Candidate>>,
-        model: &mut M,
-    ) -> HmmOutput {
-        match self.try_find_path(net, pts, layers, model) {
-            Ok(out) => out,
-            Err(_) => {
-                self.degradation.failed_matches += 1;
-                HmmOutput {
-                    path: Path::new(Vec::new()),
-                    score: f64::NEG_INFINITY,
-                    shortcut_points: 0,
-                    added_candidates: Vec::new(),
-                }
-            }
-        }
-    }
-
-    /// [`Self::find_path`] with typed errors: [`MatchError::LayerMismatch`]
-    /// when `pts` and `layers` disagree in count,
-    /// [`MatchError::EmptyTrajectory`] on zero layers, and
+    /// candidates. Malformed input is a typed error:
+    /// [`MatchError::LayerMismatch`] when `pts` and `layers` disagree in
+    /// count, [`MatchError::EmptyTrajectory`] on zero layers, and
     /// [`MatchError::EmptyLayer`] when a supplied layer has no candidate.
+    /// What a failure falls back to is the caller's choice.
     ///
     /// Never panics. Degradation events (path gaps glued across unroutable
     /// hops, non-finite model outputs clamped to zero) are accumulated and
@@ -570,7 +547,9 @@ mod tests {
             .map(|(i, &p)| (p, i as f64 * 30.0))
             .collect();
         let mut engine = HmmEngine::new(&net, EngineConfig::default());
-        let out = engine.find_path(&net, &pts, layers, &mut model);
+        let out = engine
+            .try_find_path(&net, &pts, layers, &mut model)
+            .expect("valid layers");
         // The matched path must stay on the south row.
         let poly = out.path.polyline(&net);
         assert!(!out.path.is_empty());
@@ -598,7 +577,9 @@ mod tests {
             .map(|(i, &p)| (p, i as f64 * 30.0))
             .collect();
         let mut engine = HmmEngine::new(&net, EngineConfig::default());
-        let out = engine.find_path(&net, &pts, layers, &mut model);
+        let out = engine
+            .try_find_path(&net, &pts, layers, &mut model)
+            .expect("valid layers");
         assert!(out.path.is_contiguous(&net), "{:?}", out.path);
     }
 
@@ -656,7 +637,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let plain = engine_plain.find_path(&net, &pts, layers.clone(), &mut model);
+        let plain = engine_plain
+            .try_find_path(&net, &pts, layers.clone(), &mut model)
+            .expect("valid layers");
         let plain_poly = plain.path.polyline(&net);
         assert!(
             plain_poly.iter().any(|p| p.y > 90.0),
@@ -671,7 +654,9 @@ mod tests {
                 ..Default::default()
             },
         );
-        let sc = engine_sc.find_path(&net, &pts, layers, &mut model);
+        let sc = engine_sc
+            .try_find_path(&net, &pts, layers, &mut model)
+            .expect("valid layers");
         let sc_poly = sc.path.polyline(&net);
         assert!(
             sc_poly.iter().all(|p| p.y < 90.0),
@@ -680,16 +665,6 @@ mod tests {
         assert!(sc.shortcut_points >= 1);
         // The shortcut path length is shorter than the detour path.
         assert!(sc.path.length(&net) < plain.path.length(&net));
-    }
-
-    #[test]
-    fn mismatched_layers_degrade_without_panicking() {
-        let net = ladder();
-        let mut model = classic_for(&[Point::ORIGIN]);
-        let mut engine = HmmEngine::new(&net, EngineConfig::default());
-        let out = engine.find_path(&net, &[(Point::ORIGIN, 0.0)], vec![], &mut model);
-        assert!(out.path.segments.is_empty());
-        assert_eq!(engine.take_degradation().failed_matches, 1);
     }
 
     #[test]
@@ -716,6 +691,9 @@ mod tests {
                 .err(),
             Some(crate::error::MatchError::EmptyLayer { layer: 0 })
         );
+        // A refused input leaves no degradation behind: how a failure is
+        // counted is the caller's policy.
+        assert!(!engine.take_degradation().any());
     }
 
     #[test]
@@ -861,7 +839,9 @@ mod tests {
             .map(|(i, &p)| (p, i as f64 * 30.0))
             .collect();
         let mut engine = HmmEngine::new(&net, EngineConfig::default());
-        engine.find_path(&net, &pts, layers, &mut model);
+        engine
+            .try_find_path(&net, &pts, layers, &mut model)
+            .expect("valid layers");
         // Algorithm 2's shortcut queries go through the cache, not here.
         assert_eq!(engine.take_dp_searches(), expected);
         assert_eq!(engine.take_dp_searches(), 0, "take resets the count");
@@ -876,7 +856,9 @@ mod tests {
         let pairs = nearest_segments(&net, &index, pos, 5, 500.0);
         let layers = vec![to_candidates(&mut model, 0, &pairs)];
         let mut engine = HmmEngine::new(&net, EngineConfig::default());
-        let out = engine.find_path(&net, &[(pos, 0.0)], layers, &mut model);
+        let out = engine
+            .try_find_path(&net, &[(pos, 0.0)], layers, &mut model)
+            .expect("valid layers");
         assert_eq!(out.path.len(), 1);
         // The single matched segment is at the minimum distance (twin
         // directed segments tie, so compare distances rather than ids).
@@ -968,7 +950,9 @@ mod prop_tests {
                 .map(|(i, &p)| (p, i as f64 * 30.0))
                 .collect();
             let mut engine = HmmEngine::new(&net, EngineConfig { shortcuts: 0, ..Default::default() });
-            let out = engine.find_path(&net, &pts, layers.clone(), &mut model);
+            let out = engine
+                .try_find_path(&net, &pts, layers.clone(), &mut model)
+                .expect("valid layers");
             let mut engine2 = HmmEngine::new(&net, EngineConfig { shortcuts: 0, ..Default::default() });
             let brute = brute_force_best(&net, &pts, &layers, &mut model, &mut engine2);
             prop_assert!((out.score - brute).abs() < 1e-9,
@@ -1003,9 +987,13 @@ mod prop_tests {
                 .map(|(i, &p)| (p, i as f64 * 30.0))
                 .collect();
             let mut plain = HmmEngine::new(&net, EngineConfig { shortcuts: 0, ..Default::default() });
-            let s0 = plain.find_path(&net, &pts, layers.clone(), &mut model).score;
+            let s0 = plain
+                .try_find_path(&net, &pts, layers.clone(), &mut model)
+                .expect("valid layers").score;
             let mut sc = HmmEngine::new(&net, EngineConfig { shortcuts: 1, ..Default::default() });
-            let s1 = sc.find_path(&net, &pts, layers, &mut model).score;
+            let s1 = sc
+                .try_find_path(&net, &pts, layers, &mut model)
+                .expect("valid layers").score;
             prop_assert!(s1 >= s0 - 1e-9, "shortcut score {} < plain {}", s1, s0);
         }
     }

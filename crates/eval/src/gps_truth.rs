@@ -84,8 +84,9 @@ impl GpsLabeler {
             .map(|(g, _)| (g.pos, g.t))
             .collect();
         model.positions = kept_positions;
-        let out = self.engine.find_path(&ds.network, &pts, layers, &mut model);
-        out.path
+        self.engine
+            .try_find_path(&ds.network, &pts, layers, &mut model)
+            .map_or_else(|_| Path::empty(), |out| out.path)
     }
 }
 

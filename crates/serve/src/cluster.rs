@@ -38,6 +38,13 @@
 //!   byte-identical to one that never moved, and it holds every accepted
 //!   point, so the refresh statistics fed at finish cover the whole trip —
 //!   a killed shard loses nothing that was admitted.
+//! * Sessions end on their home as in one process: the router sends a
+//!   shard-side `Finish` only for a client `Finish`, a re-open goes to the
+//!   home as a shard-side `Open`, and each shard's drain ends what it holds.
+//!   A home still in the generation that placed a session ended it itself
+//!   if it answers `EmptyTrajectory` (idle or LRU); only a restarted home
+//!   means a crash and a replay. A trip no shard holds is counted as
+//!   finalized at the router, at re-open or drain, and never replayed.
 //!
 //! Known divergence from single-process serving: `Open` is deferred (the
 //! tile is unknown until the first located push), so a
@@ -145,11 +152,14 @@ fn empty_report() -> ServeReport {
     ServeMetrics::new().snapshot(0, 0)
 }
 
-/// One shard slot: the live handle (None while down) and its consumed
-/// restart budget.
+/// One shard slot: the live handle (None while down), its consumed
+/// restart budget, and its generation.
 struct ShardSlot<'scope, 'env> {
     handle: Option<ServerHandle<'scope, 'env>>,
     restarts: u32,
+    /// Bumped on every start (a port cannot tell restarts apart: the OS
+    /// may reuse it).
+    generation: u64,
 }
 
 /// Spawns, health-checks, kills, and restarts shard servers. Restart state
@@ -183,6 +193,7 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
                 Ok(OrderedMutex::new(rank::SUPERVISOR_SLOT, "supervisor.slot", ShardSlot {
                     handle: Some(handle),
                     restarts: 0,
+                    generation: 1,
                 }))
             })
             .collect::<io::Result<Vec<_>>>()?;
@@ -211,11 +222,11 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
         }
     }
 
-    /// Returns the address of a live shard for `tile`, restarting a dead
-    /// one within the bounded budget (backoff doubles per consumed
-    /// restart). `None` means the budget is exhausted and the tile is
-    /// permanently down.
-    fn ensure_alive(&self, tile: usize) -> Option<SocketAddr> {
+    /// Returns the address and generation of a live shard for `tile`,
+    /// restarting a dead one within the bounded budget (backoff doubles per
+    /// consumed restart). `None` means the budget is exhausted and the tile
+    /// is permanently down.
+    fn ensure_alive(&self, tile: usize) -> Option<(SocketAddr, u64)> {
         // Claim a restart and compute the backoff with the slot lock held,
         // but SLEEP WITH IT RELEASED: dozing under the guard would stall
         // the monitor and every router call targeting this tile for the
@@ -224,7 +235,7 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
         let backoff = {
             let mut slot = self.slots[tile].lock();
             if let Some(h) = &slot.handle {
-                return Some(h.addr());
+                return Some((h.addr(), slot.generation));
             }
             if slot.restarts >= self.max_restarts {
                 return None;
@@ -238,14 +249,15 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
             // A concurrent caller restarted the shard while we slept:
             // refund the restart we claimed — no generation was consumed.
             slot.restarts -= 1;
-            return Some(addr);
+            return Some((addr, slot.generation));
         }
         match ServerHandle::start(self.scope, self.serves[tile], self.shard_config.clone()) {
             Ok(h) => {
                 self.restarts_total.fetch_add(1, Ordering::Relaxed);
                 let addr = h.addr();
                 slot.handle = Some(h);
-                Some(addr)
+                slot.generation += 1;
+                Some((addr, slot.generation))
             }
             Err(_) => None,
         }
@@ -317,6 +329,8 @@ struct SessionEntry {
     /// located push, and again once that shard lost the session or a
     /// placement failed — the next push or finish replays the journal).
     tile: Option<usize>,
+    /// Generation of the home shard that placed the session.
+    generation: u64,
     /// Fixed lag requested at `Open`, replayed on shard-side opens.
     lag: u32,
     /// Model version the session was pinned to at router admission,
@@ -346,9 +360,10 @@ struct RouterShared<'scope, 'env> {
     metrics: Arc<ServeMetrics>,
     shutting_down: AtomicBool,
     monitor_stop: AtomicBool,
-    /// One pooled connection per shard; session ops are serialized by the
-    /// sessions mutex, one-shots serialize per tile on these locks.
-    conns: Vec<OrderedMutex<Option<(SocketAddr, TcpStream)>>>,
+    /// One pooled connection per shard, keyed by the shard generation it
+    /// reaches; session ops are serialized by the sessions mutex, one-shots
+    /// serialize per tile on these locks.
+    conns: Vec<OrderedMutex<Option<(u64, TcpStream)>>>,
     peers: OrderedMutex<Vec<TcpStream>>,
     handlers: OrderedMutex<Vec<ScopedJoinHandle<'scope, ()>>>,
     replays: AtomicU64,
@@ -356,14 +371,15 @@ struct RouterShared<'scope, 'env> {
 
 impl RouterShared<'_, '_> {
     /// One request/response exchange with the shard serving `tile`, over
-    /// the pooled connection. A transport failure tears the shard down and
+    /// the pooled connection; returns the answer and the generation of the
+    /// shard that gave it. A transport failure tears the shard down and
     /// retries (the supervisor restarts it within budget); `None` means
     /// the tile is unreachable for good.
-    fn rpc(&self, tile: usize, req: &Request) -> Option<Response> {
+    fn rpc(&self, tile: usize, req: &Request) -> Option<(Response, u64)> {
         let mut conn = self.conns[tile].lock();
         for _ in 0..3 {
-            let addr = self.supervisor.ensure_alive(tile)?;
-            if conn.as_ref().map(|(a, _)| *a) != Some(addr) {
+            let (addr, generation) = self.supervisor.ensure_alive(tile)?;
+            if conn.as_ref().map(|(g, _)| *g) != Some(generation) {
                 *conn = None;
             }
             if conn.is_none() {
@@ -373,7 +389,7 @@ impl RouterShared<'_, '_> {
                 match TcpStream::connect(addr) {
                     Ok(s) => {
                         let _ = s.set_nodelay(true);
-                        *conn = Some((addr, s));
+                        *conn = Some((generation, s));
                     }
                     Err(_) => {
                         // Live handle, dead listener: the shard is gone.
@@ -390,7 +406,7 @@ impl RouterShared<'_, '_> {
                 if write_request(stream, req).is_ok() {
                     // lint:allow(guard-across-blocking): same exchange as the write above
                     if let Ok(resp) = read_response(stream) {
-                        return Some(resp);
+                        return Some((resp, generation));
                     }
                 }
             }
@@ -418,20 +434,20 @@ impl RouterShared<'_, '_> {
             version: entry.version,
         };
         'attempt: for attempt in 0..2 {
-            match self.rpc(tile, &open) {
-                Some(Response::Pushed { .. }) => {}
-                Some(Response::Reject(r)) => return Err(r),
+            let generation = match self.rpc(tile, &open) {
+                Some((Response::Pushed { .. }, generation)) => generation,
+                Some((Response::Reject(r), _)) => return Err(r),
                 _ => return Err(RejectReason::ShuttingDown),
-            }
+            };
             for point in &entry.journal {
                 match self.rpc(tile, &Request::Push { client, point: *point }) {
-                    Some(Response::Pushed { .. }) => {}
-                    Some(Response::Reject(r)) => return Err(r),
+                    Some((Response::Pushed { .. }, _)) => {}
+                    Some((Response::Reject(r), _)) => return Err(r),
                     // A journaled push was accepted once and replay is
                     // deterministic, so EmptyTrajectory (code 0) means the
                     // shard restarted during the replay and lost the
                     // session just opened: start over from `Open` once.
-                    Some(Response::Failed(e)) if e.code == 0 && attempt == 0 => {
+                    Some((Response::Failed(e), _)) if e.code == 0 && attempt == 0 => {
                         continue 'attempt;
                     }
                     // Anything else is a dead shard.
@@ -442,14 +458,26 @@ impl RouterShared<'_, '_> {
                 self.replays.fetch_add(1, Ordering::Relaxed);
             }
             entry.tile = Some(tile);
+            entry.generation = generation;
             return Ok(());
         }
         Err(RejectReason::ShuttingDown)
     }
 
-    /// Finalizes `client`'s session on its shard. A journaled session no
-    /// shard holds (a crash or a shed replay left it nowhere) is replayed
-    /// onto the tile of its last accepted push first.
+    /// True while the shard that placed `entry` is up: it holds the trip,
+    /// or ended it itself (idle or LRU). Read after a shard's answer, so a
+    /// kill (which takes the handle before dropping sessions) is never
+    /// mistaken for an ending.
+    fn held(&self, entry: &SessionEntry) -> bool {
+        entry.tile.is_some_and(|home| {
+            let slot = self.supervisor.slots[home].lock();
+            slot.handle.is_some() && slot.generation == entry.generation
+        })
+    }
+
+    /// Finalizes `client`'s session on its shard for a client `Finish`.
+    /// A journaled session no shard holds (a crash or a shed replay left it
+    /// nowhere) is replayed onto the tile of its last accepted push first.
     fn finish(&self, entry: &mut SessionEntry, client: u64) -> Response {
         let tile = match (entry.tile, entry.journal.last()) {
             (Some(tile), _) => tile,
@@ -469,16 +497,17 @@ impl RouterShared<'_, '_> {
                 }
             }
         };
-        for attempt in 0..2 {
+        for _ in 0..2 {
             match self.rpc(tile, &Request::Finish { client }) {
-                // The shard restarted and lost the session: rebuild it
-                // from the journal and finalize again, once.
-                Some(Response::Failed(e)) if e.code == 0 && attempt == 0 => {
+                // A restarted home lost the session: rebuild it from the
+                // journal and finalize again, once. (From the placing
+                // shard, EmptyTrajectory is its own ending: forwarded.)
+                Some((Response::Failed(e), _)) if e.code == 0 && !self.held(entry) => {
                     if let Err(reason) = self.replay(entry, client, tile) {
                         return Response::Reject(reason);
                     }
                 }
-                Some(resp) => return resp,
+                Some((resp, _)) => return resp,
                 // The home shard is gone for good: a later finish replays
                 // onto the tile of the last accepted push.
                 None => {
@@ -507,7 +536,7 @@ impl RouterShared<'_, '_> {
                     .map(|p| self.topology.route(p.effective_pos()))
                     .unwrap_or(0);
                 match self.rpc(tile, &Request::OneShot { traj }) {
-                    Some(resp) => resp,
+                    Some((resp, _)) => resp,
                     None => {
                         self.metrics.on_rejected(RejectReason::ShuttingDown);
                         Response::Reject(RejectReason::ShuttingDown)
@@ -526,26 +555,34 @@ impl RouterShared<'_, '_> {
                         return Response::Reject(RejectReason::Invalid);
                     }
                 };
+                let mut entry = SessionEntry {
+                    tile: None,
+                    generation: 0,
+                    lag,
+                    version: resolved,
+                    journal: Vec::new(),
+                };
                 let mut sessions = self.sessions.lock();
-                if let Some(mut old) = sessions.remove(&client) {
-                    // Mirror single-process reopen semantics: the previous
-                    // trajectory is finalized before the key is reused,
-                    // also when no shard holds it (the finish replays its
-                    // journal first). Session ops are serialized by
-                    // design, as in the Finish arm below.
-                    let _ = self.finish(&mut old, client);
+                if let Some(old) = sessions.remove(&client) {
+                    // Re-open: the old trip's home ends it (reason Reopen)
+                    // and becomes the new trip's home. A trip no shard
+                    // holds is counted here, not replayed: its route would
+                    // have no reader. Session ops are serialized by design,
+                    // as in the Finish arm below.
+                    let placed = old
+                        .tile
+                        .map_or(Ok(()), |home| self.replay(&mut entry, client, home));
+                    if !self.held(&old) && !old.journal.is_empty() {
+                        self.metrics.on_session_finalized();
+                    }
+                    if let Err(reason) = placed {
+                        return Response::Reject(reason);
+                    }
                 }
-                sessions.insert(
-                    client,
-                    SessionEntry {
-                        tile: None,
-                        lag,
-                        version: resolved,
-                        journal: Vec::new(),
-                    },
-                );
-                // Shard-side Open is deferred until the first located
-                // push; this ack matches the single-process Open reply.
+                sessions.insert(client, entry);
+                // A new key's shard-side Open is deferred until the first
+                // located push; this ack matches the single-process Open
+                // reply.
                 Response::Pushed { committed: 0 }
             }
             Request::Push { client, point } => {
@@ -554,7 +591,7 @@ impl RouterShared<'_, '_> {
                     return Response::Failed(WireMatchError { code: 0, a: 0, b: 0 });
                 };
                 let target = self.topology.route(point.effective_pos());
-                for attempt in 0..2 {
+                for _ in 0..2 {
                     // The session's home, else this push's tile after
                     // replaying the journal there (a fresh session's first
                     // push, or one whose home lost it).
@@ -571,20 +608,25 @@ impl RouterShared<'_, '_> {
                     // it — DESIGN §13).
                     // lint:allow(guard-across-blocking): intended session serialization
                     match self.rpc(tile, &Request::Push { client, point }) {
-                        Some(Response::Pushed { committed }) => {
+                        Some((Response::Pushed { committed }, _)) => {
                             entry.journal.push(point);
                             return Response::Pushed { committed };
                         }
-                        // EmptyTrajectory (code 0) from the home shard means
-                        // it restarted and lost the session: place it again
-                        // from the journal and retry once.
-                        Some(Response::Failed(e)) if e.code == 0 && attempt == 0 => {
+                        // EmptyTrajectory (code 0): the home no longer has
+                        // the session. If the shard that placed it ended it
+                        // (idle or LRU), forward that and forget the
+                        // session; if a restart lost it, replay and retry.
+                        Some((Response::Failed(e), _)) if e.code == 0 => {
+                            if self.held(entry) {
+                                sessions.remove(&client);
+                                return Response::Failed(e);
+                            }
                             entry.tile = None;
                         }
                         // Typed per-point verdicts (NoCandidates, ...) are
                         // forwarded and NOT journaled — the shard engine
                         // rejected and undid the layer.
-                        Some(resp) => return resp,
+                        Some((resp, _)) => return resp,
                         // The home shard is gone for good: replay onto this
                         // push's tile, which sheds the push when that tile
                         // is the dead one too.
@@ -601,9 +643,13 @@ impl RouterShared<'_, '_> {
                 // Finalize is a session op: the session lock is held
                 // across its shard round trips, as in the Push arm above.
                 let reply = self.finish(entry, client);
-                // Only a route ends the session: after a reject the entry
-                // and its journal stay, so the client can finish again.
-                if matches!(reply, Response::Route { .. }) {
+                // A route ends the session, and so does EmptyTrajectory
+                // (its home ended it). After a reject the entry and its
+                // journal stay, so the client can finish again.
+                if matches!(
+                    reply,
+                    Response::Route { .. } | Response::Failed(WireMatchError { code: 0, .. })
+                ) {
                     sessions.remove(&client);
                 }
                 reply
@@ -660,6 +706,17 @@ impl RouterShared<'_, '_> {
                     }
                 }
             }
+        }
+    }
+
+    /// The cluster report around a merged shard + router rollup.
+    fn rollup(&self, merged: ServeReport) -> ClusterReport {
+        ClusterReport {
+            merged,
+            shards: self.topology.num_tiles(),
+            restarts: self.supervisor.restarts_total.load(Ordering::Relaxed),
+            handoffs: 0,
+            replays: self.replays.load(Ordering::Relaxed),
         }
     }
 
@@ -850,35 +907,24 @@ impl<'scope, 'env> ClusterHandle<'scope, 'env> {
             .metrics
             .snapshot(0, shared.sessions.lock().len());
         merged.merge(&router);
-        ClusterReport {
-            merged,
-            shards: shared.topology.num_tiles(),
-            restarts: shared.supervisor.restarts_total.load(Ordering::Relaxed),
-            handoffs: 0,
-            replays: shared.replays.load(Ordering::Relaxed),
-        }
+        shared.rollup(merged)
     }
 
-    /// Graceful cluster drain: stop router admissions, finalize every
-    /// routed session on its shard, stop the monitor, drain all shards,
-    /// join the router threads, and return the final rollup.
+    /// Graceful cluster drain: stop router admissions, account for the
+    /// trips no shard holds, stop the monitor, drain all shards (each ends
+    /// the sessions it holds), join the router threads, and return the
+    /// final rollup.
     pub fn shutdown_and_drain(&self) -> ClusterReport {
         self.drained.store(true, Ordering::Release);
         let shared = &self.shared;
         // 1. Stop admissions at the router.
         shared.shutting_down.store(true, Ordering::Release);
-        // 2. Finalize every live routed session on its shard (mirrors
-        //    single-process finalize_all).
-        {
-            let mut sessions = shared.sessions.lock();
-            for (client, entry) in sessions.drain() {
-                if let Some(tile) = entry.tile {
-                    // Drain finalizes under the session lock so no handler
-                    // can interleave a push with the shutdown finalize of
-                    // the same key.
-                    // lint:allow(guard-across-blocking): intended session serialization
-                    let _ = shared.rpc(tile, &Request::Finish { client });
-                }
+        // 2. Each shard's drain (step 4) ends the sessions it holds; a trip
+        //    no shard holds is counted here, without a replay.
+        let entries: Vec<SessionEntry> = shared.sessions.lock().drain().map(|(_, e)| e).collect();
+        for entry in &entries {
+            if !entry.journal.is_empty() && !shared.held(entry) {
+                shared.metrics.on_session_finalized();
             }
         }
         // 3. Stop the monitor so it cannot resurrect draining shards.
@@ -906,13 +952,7 @@ impl<'scope, 'env> ClusterHandle<'scope, 'env> {
             let _ = h.join();
         }
         merged.merge(&shared.metrics.snapshot(0, 0));
-        ClusterReport {
-            merged,
-            shards: shared.topology.num_tiles(),
-            restarts: shared.supervisor.restarts_total.load(Ordering::Relaxed),
-            handoffs: 0,
-            replays: shared.replays.load(Ordering::Relaxed),
-        }
+        shared.rollup(merged)
     }
 }
 

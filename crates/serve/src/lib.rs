@@ -12,7 +12,8 @@
 //!   answers, only speed).
 //! * **Session manager** ([`session`]): multi-tenant fixed-lag streaming
 //!   sessions keyed by client id, with idle-timeout sweeping and LRU
-//!   eviction at the cap.
+//!   eviction at the cap; every session ends through one reason-taking
+//!   call.
 //! * **Admission control** ([`admission`]): when the service cannot take
 //!   more work it says so immediately with a typed [`RejectReason`] —
 //!   queue full, session limit, shutting down, oversized — instead of
@@ -21,7 +22,7 @@
 //! The wire protocol ([`protocol`]) is a length-prefixed binary framing
 //! over TCP; [`client`] is the blocking in-crate client. [`server`] ties
 //! it together and guarantees graceful drain: stop admissions, flush every
-//! admitted request, finalize sessions, join all threads, report metrics
+//! admitted request, end open sessions, join all threads, report metrics
 //! ([`metrics`]).
 //!
 //! Model versioning (ISSUE 9): every server runs against a
@@ -51,4 +52,4 @@ pub use metrics::{ServeMetrics, ServeReport};
 pub use protocol::{Request, Response, WireError, WireMatchError, MAX_FRAME};
 pub use scheduler::{BatchPolicy, MatchReply, MicroBatcher, ServeCtx};
 pub use server::{ServeConfig, ServerHandle};
-pub use session::{SessionFinish, SessionManager, SessionPolicy};
+pub use session::{EndReason, SessionFinish, SessionManager, SessionPolicy};

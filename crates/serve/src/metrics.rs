@@ -40,7 +40,7 @@ pub struct ServeMetrics {
     sessions_evicted_idle: AtomicU64,
     /// Sessions evicted as least-recently-used at the cap.
     sessions_evicted_lru: AtomicU64,
-    /// Sessions finalized (explicit finish or drain).
+    /// Sessions ended, for any reason.
     sessions_finalized: AtomicU64,
     /// Observations pushed into streaming sessions.
     stream_pushes: AtomicU64,
@@ -190,7 +190,7 @@ impl ServeMetrics {
         self.sessions_evicted_lru.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts a finalized session.
+    /// Counts an ended session (any reason).
     pub fn on_session_finalized(&self) {
         self.sessions_finalized.fetch_add(1, Ordering::Relaxed);
     }
@@ -277,7 +277,8 @@ pub struct ServeReport {
     pub sessions_evicted_idle: u64,
     /// LRU evictions at the cap.
     pub sessions_evicted_lru: u64,
-    /// Finalized sessions (finish requests + drain finalizations).
+    /// Ended sessions, whatever the reason (finish, re-open, idle, LRU,
+    /// drain); in a cluster also the journal-only trips the router counts.
     pub sessions_finalized: u64,
     /// Streaming observations absorbed.
     pub stream_pushes: u64,

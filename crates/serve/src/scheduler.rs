@@ -375,7 +375,12 @@ mod tests {
         let want: Vec<_> = ds
             .test
             .iter()
-            .map(|r| model.match_with_engine(&ctx, &r.cellular, &mut engine))
+            .map(|r| {
+                model
+                    .try_match_with_engine_stats(&ctx, &r.cellular, &mut engine)
+                    .expect("matched")
+                    .0
+            })
             .collect();
 
         let registry = ModelRegistry::new(model, "test");
@@ -518,13 +523,27 @@ mod tests {
         let want1: Vec<_> = ds
             .test
             .iter()
-            .map(|r| model.match_with_engine(&ctx, &r.cellular, &mut e1).path.segments)
+            .map(|r| {
+                model
+                    .try_match_with_engine_stats(&ctx, &r.cellular, &mut e1)
+                    .expect("matched")
+                    .0
+                    .path
+                    .segments
+            })
             .collect();
         let mut e2 = HmmEngine::new(&ds.network, candidate.engine_config());
         let want2: Vec<_> = ds
             .test
             .iter()
-            .map(|r| candidate.match_with_engine(&ctx, &r.cellular, &mut e2).path.segments)
+            .map(|r| {
+                candidate
+                    .try_match_with_engine_stats(&ctx, &r.cellular, &mut e2)
+                    .expect("matched")
+                    .0
+                    .path
+                    .segments
+            })
             .collect();
         let expected_div = want1.iter().zip(&want2).filter(|(a, b)| a != b).count() as u64;
 

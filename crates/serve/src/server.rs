@@ -11,9 +11,15 @@
 //! Shutdown contract ([`ServerHandle::shutdown_and_drain`]): admissions
 //! stop first (every subsequent request is shed with
 //! [`RejectReason::ShuttingDown`]), then every already-admitted one-shot
-//! flushes through the workers, open sessions are finalized, and all
-//! threads join before the final [`ServeReport`] snapshot is taken — an
-//! admitted request is never dropped (`in_flight_lost() == 0`).
+//! flushes through the workers, open sessions end with
+//! [`EndReason::Drain`], and all threads join before the final
+//! [`ServeReport`] snapshot is taken — an admitted request is never dropped
+//! (`in_flight_lost() == 0`).
+//!
+//! Refresh statistics: a successful one-shot and a client `Finish` feed
+//! [`ModelRegistry::observe`]; sessions ended any other way (re-open, idle,
+//! LRU, drain) do not, because their trips are truncated. The session
+//! table applies that rule in its one ending, [`SessionManager::end`].
 
 use crate::admission::RejectReason;
 use crate::metrics::{ServeMetrics, ServeReport};
@@ -21,9 +27,8 @@ use crate::protocol::{
     read_request, write_response, Request, Response, WireMatchError,
 };
 use crate::scheduler::{BatchPolicy, MicroBatcher, ServeCtx};
-use crate::session::{SessionManager, SessionPolicy};
+use crate::session::{EndReason, SessionManager, SessionPolicy};
 use lhmm_core::registry::{ModelRegistry, ModelVersion, RegistryError};
-use lhmm_network::graph::RoadNetwork;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -57,7 +62,6 @@ struct Shared<'scope, 'env> {
     batcher: MicroBatcher<'scope, 'env>,
     sessions: OrderedMutex<SessionManager<'env>>,
     registry: &'env ModelRegistry,
-    net: &'env RoadNetwork,
     metrics: Arc<ServeMetrics>,
     shutting_down: AtomicBool,
     max_points: usize,
@@ -125,18 +129,11 @@ impl Shared<'_, '_> {
                     return Response::Reject(RejectReason::ShuttingDown);
                 }
                 let mut sessions = self.sessions.lock();
-                match sessions.finish(client, &self.metrics) {
-                    Some(fin) => {
-                        // Feed the finished route into refresh statistics
-                        // and credit the pinned version's lane.
-                        self.registry
-                            .observe(self.net, &fin.points, &fin.path.segments);
-                        self.metrics.on_version_finished(fin.version);
-                        Response::Route {
-                            segments: fin.path.segments,
-                            degraded: fin.disconnected_joins > 0,
-                        }
-                    }
+                match sessions.end(client, EndReason::Finish, &self.metrics) {
+                    Some(fin) => Response::Route {
+                        segments: fin.path.segments,
+                        degraded: fin.disconnected_joins > 0,
+                    },
                     // No such session: the typed "nothing was matched"
                     // verdict (EmptyTrajectory, code 0).
                     None => Response::Failed(WireMatchError { code: 0, a: 0, b: 0 }),
@@ -279,6 +276,7 @@ impl<'scope, 'env> ServerHandle<'scope, 'env> {
         let mut sessions = SessionManager::new(
             serve.ctx.net,
             serve.ctx.index,
+            serve.registry,
             config.sessions.clone(),
         );
         if let Some(tile_scope) = serve.scope {
@@ -290,7 +288,6 @@ impl<'scope, 'env> ServerHandle<'scope, 'env> {
             // metrics/registry leaves and below nothing else in this shard.
             sessions: OrderedMutex::new(rank::SERVER_SESSIONS, "server.sessions", sessions),
             registry: serve.registry,
-            net: serve.ctx.net,
             metrics,
             shutting_down: AtomicBool::new(false),
             max_points: config.max_points(),
@@ -350,37 +347,10 @@ impl<'scope, 'env> ServerHandle<'scope, 'env> {
     }
 
     /// Graceful drain: stop admissions, flush every admitted one-shot
-    /// through the workers, finalize open sessions, join every thread,
-    /// and return the final metrics snapshot.
+    /// through the workers, end open sessions ([`EndReason::Drain`]), join
+    /// every thread, and return the final metrics snapshot.
     pub fn shutdown_and_drain(&self) -> ServeReport {
-        self.drained.store(true, Ordering::Release);
-        let shared = &self.shared;
-        // 1. Stop admissions: handlers shed everything from here on.
-        shared.shutting_down.store(true, Ordering::Release);
-        // 2. Flush the one-shot pipeline. Handlers blocked on a reply
-        //    receive it here (workers answer every admitted job before
-        //    exiting).
-        shared.batcher.drain();
-        // 3. Finalize open streaming sessions.
-        shared.sessions.lock().finalize_all(&shared.metrics);
-        // 4. Unblock the accept loop with a self-connection and join it.
-        let _ = TcpStream::connect(self.addr);
-        let accept = self.accept.lock().take();
-        if let Some(h) = accept {
-            let _ = h.join();
-        }
-        // 5. Unblock handlers parked in read_request and join them.
-        for peer in shared.peers.lock().drain(..) {
-            let _ = peer.shutdown(std::net::Shutdown::Both);
-        }
-        let handlers = {
-            let mut guard = shared.handlers.lock();
-            std::mem::take(&mut *guard)
-        };
-        for h in handlers {
-            let _ = h.join();
-        }
-        shared.metrics.snapshot(shared.batcher.queue_depth(), 0)
+        self.stop(false)
     }
 
     /// Hard abort: the simulated crash path. Open sessions are dropped
@@ -389,19 +359,34 @@ impl<'scope, 'env> ServerHandle<'scope, 'env> {
     /// drain does so the owning scope can close. Returns the final
     /// snapshot of the dead shard.
     pub fn abort(&self) -> ServeReport {
+        self.stop(true)
+    }
+
+    fn stop(&self, crash: bool) -> ServeReport {
         self.drained.store(true, Ordering::Release);
         let shared = &self.shared;
+        // 1. Stop admissions: handlers shed everything from here on.
         shared.shutting_down.store(true, Ordering::Release);
-        // Crash semantics: in-flight sessions are lost, not finalized.
-        let _ = shared.sessions.lock().drop_all();
-        // The worker pool still answers already-admitted one-shots so
-        // every blocked handler unparks; new work is already shed.
+        // 2. Sessions: a crash loses them; a drain (step 4) ends them.
+        if crash {
+            let _ = shared.sessions.lock().drop_all();
+        }
+        // 3. Flush the one-shot pipeline. Handlers blocked on a reply
+        //    receive it here (workers answer every admitted job before
+        //    exiting).
         shared.batcher.drain();
+        // 4. End open streaming sessions (reason Drain: flushed and
+        //    counted, not observed — a drained trip is truncated).
+        if !crash {
+            shared.sessions.lock().drain(&shared.metrics);
+        }
+        // 5. Unblock the accept loop with a self-connection and join it.
         let _ = TcpStream::connect(self.addr);
         let accept = self.accept.lock().take();
         if let Some(h) = accept {
             let _ = h.join();
         }
+        // 6. Unblock handlers parked in read_request and join them.
         for peer in shared.peers.lock().drain(..) {
             let _ = peer.shutdown(std::net::Shutdown::Both);
         }

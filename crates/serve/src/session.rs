@@ -12,9 +12,12 @@
 //! Capacity policy: at most `max_sessions` live sessions. A new `open`
 //! first sweeps sessions idle past `idle_timeout`; if the table is still
 //! full it evicts the least-recently-used session *if* that session has
-//! been idle at all (strictly older than the newest touch), otherwise the
-//! open is shed with [`RejectReason::SessionLimit`]. Evicted sessions are
-//! finalized (their engine state is flushed), never silently dropped.
+//! been idle at least `lru_evict_min_idle`, otherwise the open is shed with
+//! [`RejectReason::SessionLimit`].
+//!
+//! Every session ends through [`SessionManager::end`] with an
+//! [`EndReason`]; only a client finish feeds refresh statistics.
+//! [`SessionManager::drop_all`] is the crash path, not an ending.
 //!
 //! Version pinning: every session carries the [`VersionedModel`] it was
 //! admitted under. The pin supplies the shortest-path backend for the
@@ -29,7 +32,7 @@ use lhmm_cellsim::traj::CellularPoint;
 use lhmm_core::candidates::{nearest_segments, to_candidates};
 use lhmm_core::classic::{ClassicModel, ClassicObservation, ClassicTransition};
 use lhmm_core::error::MatchError;
-use lhmm_core::registry::VersionedModel;
+use lhmm_core::registry::{ModelRegistry, VersionedModel};
 use lhmm_core::streaming::StreamingEngine;
 use lhmm_network::graph::RoadNetwork;
 use lhmm_network::path::Path;
@@ -78,14 +81,29 @@ struct Session<'a> {
     /// a new admission).
     pin: Arc<VersionedModel>,
     /// Observations this session accepted, kept for refresh statistics
-    /// at finish time.
+    /// at a client finish.
     points: Vec<CellularPoint>,
     last_touch: Instant,
     /// Monotone use stamp for LRU ordering (ties impossible).
     stamp: u64,
 }
 
-/// Everything a finished session hands back to the serving layer.
+/// Why a session ended. See [`SessionManager::end`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum EndReason {
+    /// The client finished the trip.
+    Finish,
+    /// The client re-opened its key for a new trip.
+    Reopen,
+    /// Untouched for `idle_timeout`.
+    Idle,
+    /// Evicted at the session cap to admit a newcomer.
+    Lru,
+    /// The server drained.
+    Drain,
+}
+
+/// Everything an ended session hands back to the serving layer.
 #[derive(Clone, Debug)]
 pub struct SessionFinish {
     /// The finalized route.
@@ -93,11 +111,6 @@ pub struct SessionFinish {
     /// Joins the fixed-lag engine had to bridge across disconnected
     /// candidate layers (degradation counter).
     pub disconnected_joins: u64,
-    /// Registry version the session was pinned to at admission.
-    pub version: u32,
-    /// Observations the session accepted, for
-    /// [`ModelRegistry::observe`](lhmm_core::registry::ModelRegistry::observe).
-    pub points: Vec<CellularPoint>,
 }
 
 /// The session table. Not internally synchronized: the server wraps it in
@@ -106,6 +119,8 @@ pub struct SessionFinish {
 pub struct SessionManager<'a> {
     net: &'a RoadNetwork,
     index: &'a SpatialIndex,
+    /// Where a client-finished trip's refresh statistics go.
+    registry: &'a ModelRegistry,
     policy: SessionPolicy,
     sessions: HashMap<u64, Session<'a>>,
     next_stamp: u64,
@@ -119,12 +134,19 @@ pub struct SessionManager<'a> {
 }
 
 impl<'a> SessionManager<'a> {
-    /// An empty table over `net`/`index`. Each session's shortest-path
-    /// backend comes from the [`VersionedModel`] it is opened with.
-    pub fn new(net: &'a RoadNetwork, index: &'a SpatialIndex, policy: SessionPolicy) -> Self {
+    /// An empty table over `net`/`index`, observing finished trips into
+    /// `registry`. Each session's shortest-path backend comes from the
+    /// [`VersionedModel`] it is opened with.
+    pub fn new(
+        net: &'a RoadNetwork,
+        index: &'a SpatialIndex,
+        registry: &'a ModelRegistry,
+        policy: SessionPolicy,
+    ) -> Self {
         SessionManager {
             net,
             index,
+            registry,
             policy,
             sessions: HashMap::new(),
             next_stamp: 0,
@@ -156,8 +178,43 @@ impl<'a> SessionManager<'a> {
         self.next_stamp
     }
 
-    /// Evicts every session idle past the timeout, finalizing each.
-    /// Returns the number evicted.
+    /// Ends `client`'s session for `reason` — the one way a session ends:
+    /// flushes the engine and counts the ending. Only
+    /// [`EndReason::Finish`] feeds [`ModelRegistry::observe`] and credits
+    /// the pinned version's lane, because every other ending cuts the trip
+    /// short. `Reopen` keeps the session and its warm engine for the next
+    /// trip. `None` when `client` has no session.
+    pub fn end(
+        &mut self,
+        client: u64,
+        reason: EndReason,
+        metrics: &ServeMetrics,
+    ) -> Option<SessionFinish> {
+        let session = self.sessions.get_mut(&client)?;
+        let path = session.engine.finalize();
+        let disconnected_joins = session.engine.degradation().disconnected_joins;
+        let points = std::mem::take(&mut session.points);
+        let version = session.pin.manifest.version.0;
+        if reason != EndReason::Reopen {
+            self.sessions.remove(&client);
+        }
+        match reason {
+            EndReason::Finish => {
+                self.registry.observe(self.net, &points, &path.segments);
+                metrics.on_version_finished(version);
+            }
+            EndReason::Idle => metrics.on_session_evicted_idle(),
+            EndReason::Lru => metrics.on_session_evicted_lru(),
+            EndReason::Reopen | EndReason::Drain => {}
+        }
+        metrics.on_session_finalized();
+        Some(SessionFinish {
+            path,
+            disconnected_joins,
+        })
+    }
+
+    /// Ends every session idle past the timeout. Returns how many ended.
     pub fn sweep_idle(&mut self, metrics: &ServeMetrics) -> usize {
         let now = Instant::now();
         let timeout = self.policy.idle_timeout;
@@ -167,23 +224,18 @@ impl<'a> SessionManager<'a> {
             .filter(|(_, s)| now.duration_since(s.last_touch) >= timeout)
             .map(|(&id, _)| id)
             .collect();
-        let n = expired.len();
-        for id in expired {
-            if let Some(mut s) = self.sessions.remove(&id) {
-                let _ = s.engine.finalize();
-                metrics.on_session_evicted_idle();
-                metrics.on_session_finalized();
-            }
+        for &id in &expired {
+            self.end(id, EndReason::Idle, metrics);
         }
-        n
+        expired.len()
     }
 
     /// Opens (or replaces) the session keyed `client`, pinned to `pin`
-    /// for its whole lifetime. Reopening an existing key finalizes the
-    /// previous trajectory first — a client starting a new trip reuses its
-    /// warm engine but re-pins (a new trip is a new admission, so it picks
-    /// up whatever version is active *now*; backend answers are bitwise
-    /// identical across versions, so the warm engine stays valid).
+    /// for its whole lifetime. Reopening an existing key ends the previous
+    /// trajectory ([`EndReason::Reopen`]) — a client starting a new trip
+    /// reuses its warm engine but re-pins (a new trip is a new admission,
+    /// so it picks up whatever version is active *now*; backend answers are
+    /// bitwise identical across versions, so the warm engine stays valid).
     pub fn open(
         &mut self,
         client: u64,
@@ -192,18 +244,14 @@ impl<'a> SessionManager<'a> {
         metrics: &ServeMetrics,
     ) -> Result<(), RejectReason> {
         self.sweep_idle(metrics);
-        if let Some(existing) = self.sessions.get_mut(&client) {
-            // Reuse the warm engine for the client's next trajectory.
-            let _ = existing.engine.finalize();
-            metrics.on_session_finalized();
-            existing.engine.lag = lag;
-            existing.model = fresh_model();
-            existing.pin = pin;
-            existing.points = Vec::new();
-            existing.last_touch = Instant::now();
+        if self.end(client, EndReason::Reopen, metrics).is_some() {
             let stamp = self.stamp();
-            if let Some(s) = self.sessions.get_mut(&client) {
-                s.stamp = stamp;
+            if let Some(existing) = self.sessions.get_mut(&client) {
+                existing.engine.lag = lag;
+                existing.model = fresh_model();
+                existing.pin = pin;
+                existing.last_touch = Instant::now();
+                existing.stamp = stamp;
             }
             metrics.on_session_opened();
             return Ok(());
@@ -219,11 +267,7 @@ impl<'a> SessionManager<'a> {
                 .map(|(&id, s)| (id, s.last_touch));
             match lru {
                 Some((id, touched)) if touched.elapsed() >= self.policy.lru_evict_min_idle => {
-                    if let Some(mut s) = self.sessions.remove(&id) {
-                        let _ = s.engine.finalize();
-                        metrics.on_session_evicted_lru();
-                        metrics.on_session_finalized();
-                    }
+                    self.end(id, EndReason::Lru, metrics);
                 }
                 _ => {
                     metrics.on_rejected(RejectReason::SessionLimit);
@@ -310,35 +354,14 @@ impl<'a> SessionManager<'a> {
         }
     }
 
-    /// Finalizes and removes `client`'s session, returning the complete
-    /// route plus the pinned version and the accepted observations (so the
-    /// server can fold them into refresh statistics). Unknown clients get
-    /// `None`.
-    pub fn finish(&mut self, client: u64, metrics: &ServeMetrics) -> Option<SessionFinish> {
-        let mut session = self.sessions.remove(&client)?;
-        let path = session.engine.finalize();
-        let disconnected = session.engine.degradation().disconnected_joins;
-        metrics.on_session_finalized();
-        Some(SessionFinish {
-            path,
-            disconnected_joins: disconnected,
-            version: session.pin.manifest.version.0,
-            points: session.points,
-        })
-    }
-
-    /// Finalizes every open session (graceful drain). Returns how many
-    /// were flushed.
-    pub fn finalize_all(&mut self, metrics: &ServeMetrics) -> usize {
+    /// Ends every open session (graceful drain, [`EndReason::Drain`]).
+    /// Returns how many ended.
+    pub fn drain(&mut self, metrics: &ServeMetrics) -> usize {
         let ids: Vec<u64> = self.sessions.keys().copied().collect();
-        let n = ids.len();
-        for id in ids {
-            if let Some(mut s) = self.sessions.remove(&id) {
-                let _ = s.engine.finalize();
-                metrics.on_session_finalized();
-            }
+        for &id in &ids {
+            self.end(id, EndReason::Drain, metrics);
         }
-        n
+        ids.len()
     }
 
     /// Drops every session without finalizing — the simulated crash path
@@ -364,7 +387,7 @@ mod tests {
     use super::*;
     use lhmm_cellsim::dataset::{Dataset, DatasetConfig};
     use lhmm_core::lhmm::{LhmmConfig, LhmmModel};
-    use lhmm_core::registry::ModelRegistry;
+    use lhmm_core::registry::RefreshStats;
 
     fn policy(max: usize, idle_ms: u64) -> SessionPolicy {
         SessionPolicy {
@@ -375,62 +398,136 @@ mod tests {
         }
     }
 
-    /// A v1 pin over a cheap classic-only model (the Arc outlives the
-    /// registry it came from).
-    fn pin_for(ds: &Dataset) -> Arc<VersionedModel> {
+    /// A registry whose v1 is a cheap classic-only model.
+    fn registry_for(ds: &Dataset) -> ModelRegistry {
         let mut cfg = LhmmConfig::fast_test(1);
         cfg.use_learned_obs = false;
         cfg.use_learned_trans = false;
-        ModelRegistry::new(LhmmModel::train(ds, cfg), "session-test").active()
+        ModelRegistry::new(LhmmModel::train(ds, cfg), "session-test")
+    }
+
+    /// Streams every point of `traj` into `client`'s session; returns the
+    /// accepted observations.
+    fn push_all(
+        mgr: &mut SessionManager<'_>,
+        client: u64,
+        traj: &[CellularPoint],
+        metrics: &ServeMetrics,
+    ) -> Vec<CellularPoint> {
+        let mut accepted = Vec::new();
+        for p in traj {
+            match mgr.push(client, p, metrics) {
+                Ok(_) => accepted.push(*p),
+                Err(MatchError::NoCandidates) => {}
+                Err(e) => panic!("unexpected push error {e}"),
+            }
+        }
+        accepted
     }
 
     #[test]
     fn open_push_finish_roundtrip() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(311));
         let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
-        let mut mgr = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
-        mgr.open(1, 2, Arc::clone(&pin), &metrics).expect("open");
-        let rec = &ds.test[0];
-        let mut pushed = 0;
-        for p in &rec.cellular.points {
-            match mgr.push(1, p, &metrics) {
-                Ok(_) => pushed += 1,
-                Err(MatchError::NoCandidates) => {}
-                Err(e) => panic!("unexpected push error {e}"),
-            }
-        }
-        assert!(pushed > 0);
-        let fin = mgr.finish(1, &metrics).expect("finish");
+        let reg = registry_for(&ds);
+        let mut mgr = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000));
+        mgr.open(1, 2, reg.active(), &metrics).expect("open");
+        let accepted = push_all(&mut mgr, 1, &ds.test[0].cellular.points, &metrics);
+        assert!(!accepted.is_empty());
+        let fin = mgr.end(1, EndReason::Finish, &metrics).expect("finish");
         assert!(!fin.path.is_empty());
-        assert_eq!(fin.version, 1, "pinned to the admission version");
-        assert_eq!(
-            fin.points.len(),
-            pushed,
-            "exactly the accepted observations are kept for refresh stats"
-        );
         assert!(mgr.is_empty());
+        // Exactly the accepted observations teach the registry, once.
+        let mut want = RefreshStats::default();
+        want.observe(&ds.network, &accepted, &fin.path.segments);
+        assert_eq!(want.observed_matches, 1);
+        assert_eq!(reg.stats(), want);
+        let report = metrics.snapshot(0, 0);
+        assert_eq!(report.sessions_finalized, 1);
+        assert_eq!(
+            report.versions.lanes[&1].served, 1,
+            "credited to the admission version"
+        );
+    }
+
+    /// Every ending but a client finish cuts the trip short, so none of
+    /// them feeds refresh statistics; each still flushes and counts.
+    #[test]
+    fn only_a_client_finish_teaches_the_registry() {
+        let ds = Dataset::generate(&DatasetConfig::tiny_test(317));
+        let metrics = ServeMetrics::new();
+        let reg = registry_for(&ds);
+        let traj = &ds.test[0].cellular.points;
+        let mut mgr = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000));
+        let truncating = [EndReason::Reopen, EndReason::Idle, EndReason::Lru, EndReason::Drain];
+        for reason in truncating {
+            mgr.open(1, 2, reg.active(), &metrics).expect("open");
+            assert!(!push_all(&mut mgr, 1, traj, &metrics).is_empty());
+            let fin = mgr.end(1, reason, &metrics).expect("open session ends");
+            assert!(!fin.path.is_empty(), "{reason:?} flushes the route");
+            let kept = usize::from(reason == EndReason::Reopen);
+            assert_eq!(mgr.len(), kept, "{reason:?}");
+            mgr.end(1, EndReason::Drain, &metrics);
+        }
+        assert!(reg.stats().is_empty(), "a truncated trip was observed");
+        assert_eq!(reg.stats().observed_matches, 0);
+        let report = metrics.snapshot(0, 0);
+        // Four endings under test plus the Reopen case's clean-up drain.
+        assert_eq!(report.sessions_finalized, 5);
+        assert_eq!(report.sessions_evicted_idle, 1);
+        assert_eq!(report.sessions_evicted_lru, 1);
+        assert_eq!(report.versions.lanes.get(&1).map_or(0, |l| l.served), 0);
+    }
+
+    /// Re-opening a key ends the old trip but keeps the session's warm
+    /// engine: the new trip's route equals a fresh session's.
+    #[test]
+    fn reopen_ends_the_old_trip_and_reuses_the_session() {
+        let ds = Dataset::generate(&DatasetConfig::tiny_test(318));
+        let metrics = ServeMetrics::new();
+        let reg = registry_for(&ds);
+        let (first, second) = (&ds.test[0].cellular.points, &ds.test[1].cellular.points);
+        let mut fresh = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000));
+        fresh.open(1, 2, reg.active(), &metrics).expect("open");
+        push_all(&mut fresh, 1, second, &metrics);
+        let want = fresh.end(1, EndReason::Drain, &metrics).expect("open");
+
+        let metrics = ServeMetrics::new();
+        let mut mgr = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000));
+        mgr.open(1, 2, reg.active(), &metrics).expect("open");
+        push_all(&mut mgr, 1, &first[..first.len() / 2], &metrics);
+        mgr.open(1, 2, reg.active(), &metrics).expect("reopen");
+        push_all(&mut mgr, 1, second, &metrics);
+        let got = mgr.end(1, EndReason::Finish, &metrics).expect("finish");
+        assert_eq!(got.path.segments, want.path.segments);
+        let report = metrics.snapshot(0, 0);
+        assert_eq!(report.sessions_opened, 2);
+        assert_eq!(report.sessions_finalized, 2);
+        assert_eq!(reg.stats().observed_matches, 1, "only the finished trip");
     }
 
     #[test]
     fn unknown_session_is_a_typed_error() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(312));
         let metrics = ServeMetrics::new();
-        let mut mgr = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
+        let reg = registry_for(&ds);
+        let mut mgr = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000));
         let p = ds.test[0].cellular.points[0];
         assert_eq!(
             mgr.push(77, &p, &metrics),
             Err(MatchError::EmptyTrajectory)
         );
-        assert!(mgr.finish(77, &metrics).is_none());
+        assert!(mgr.end(77, EndReason::Finish, &metrics).is_none());
+        assert_eq!(metrics.snapshot(0, 0).sessions_finalized, 0);
     }
 
     #[test]
     fn cap_evicts_lru_or_sheds() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(313));
         let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
-        let mut mgr = SessionManager::new(&ds.network, &ds.index, policy(2, 60_000));
+        let reg = registry_for(&ds);
+        let pin = reg.active();
+        let mut mgr = SessionManager::new(&ds.network, &ds.index, &reg, policy(2, 60_000));
         mgr.open(1, 0, Arc::clone(&pin), &metrics).expect("open 1");
         mgr.open(2, 0, Arc::clone(&pin), &metrics).expect("open 2");
         // Both sessions have a nonzero idle age by now, so the third open
@@ -449,10 +546,12 @@ mod tests {
     fn active_sessions_are_not_cannibalized_at_the_cap() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(316));
         let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
+        let reg = registry_for(&ds);
+        let pin = reg.active();
         let mut mgr = SessionManager::new(
             &ds.network,
             &ds.index,
+            &reg,
             SessionPolicy {
                 max_sessions: 1,
                 idle_timeout: Duration::from_secs(60),
@@ -476,8 +575,9 @@ mod tests {
     fn idle_sessions_are_swept() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(314));
         let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
-        let mut mgr = SessionManager::new(&ds.network, &ds.index, policy(8, 5));
+        let reg = registry_for(&ds);
+        let pin = reg.active();
+        let mut mgr = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 5));
         mgr.open(1, 0, Arc::clone(&pin), &metrics).expect("open");
         mgr.open(2, 0, Arc::clone(&pin), &metrics).expect("open");
         std::thread::sleep(Duration::from_millis(10));
@@ -497,16 +597,17 @@ mod tests {
             .map(|t| TileScope::build(&ds.network, &grid, t, ds.index.cell_size()))
             .collect();
         let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
+        let reg = registry_for(&ds);
+        let pin = reg.active();
         for (ci, rec) in ds.test.iter().take(4).enumerate() {
             let client = ci as u64;
-            let mut plain = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
+            let mut plain = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000));
             plain.open(client, 2, Arc::clone(&pin), &metrics).expect("open");
             // Pick the tile the trajectory starts in, like the router does.
             let first = rec.cellular.points[0].effective_pos();
             let tile = grid.assign(first);
             let mut scoped =
-                SessionManager::new(&ds.network, &ds.index, policy(8, 60_000))
+                SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000))
                     .with_scope(&scopes[tile]);
             scoped.open(client, 2, Arc::clone(&pin), &metrics).expect("open");
             for p in &rec.cellular.points {
@@ -516,8 +617,8 @@ mod tests {
                     "tile {tile} diverged"
                 );
             }
-            let want = plain.finish(client, &metrics).expect("finish");
-            let got = scoped.finish(client, &metrics).expect("finish");
+            let want = plain.end(client, EndReason::Finish, &metrics).expect("finish");
+            let got = scoped.end(client, EndReason::Finish, &metrics).expect("finish");
             assert_eq!(got.path.segments, want.path.segments);
         }
     }
@@ -526,8 +627,9 @@ mod tests {
     fn drop_all_loses_sessions_without_finalizing() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(320));
         let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
-        let mut mgr = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
+        let reg = registry_for(&ds);
+        let pin = reg.active();
+        let mut mgr = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000));
         mgr.open(1, 0, Arc::clone(&pin), &metrics).expect("open");
         mgr.open(2, 0, Arc::clone(&pin), &metrics).expect("open");
         assert_eq!(mgr.drop_all(), 2);
@@ -538,15 +640,16 @@ mod tests {
     }
 
     #[test]
-    fn finalize_all_flushes_everything() {
+    fn drain_ends_every_session() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(315));
         let metrics = ServeMetrics::new();
-        let pin = pin_for(&ds);
-        let mut mgr = SessionManager::new(&ds.network, &ds.index, policy(8, 60_000));
+        let reg = registry_for(&ds);
+        let pin = reg.active();
+        let mut mgr = SessionManager::new(&ds.network, &ds.index, &reg, policy(8, 60_000));
         for id in 0..3 {
             mgr.open(id, 1, Arc::clone(&pin), &metrics).expect("open");
         }
-        assert_eq!(mgr.finalize_all(&metrics), 3);
+        assert_eq!(mgr.drain(&metrics), 3);
         assert!(mgr.is_empty());
         assert_eq!(metrics.snapshot(0, 0).sessions_finalized, 3);
     }

@@ -11,8 +11,11 @@
 //! * Killing a shard mid-stream, or killing a session's home shard right
 //!   before `finish`, loses nothing: the supervisor restarts it, the
 //!   router replays its journal, and final routes are unchanged.
-//! * Re-opening a key whose replay was shed still finalizes the previous
-//!   trajectory from the router's journal.
+//! * Session endings match single-process serving: a key re-opened
+//!   mid-trip and sessions still open at drain end without feeding refresh
+//!   statistics, a push to a session the shard evicted fails the same way,
+//!   and a trip only the router's journal holds is counted as finalized
+//!   once, at re-open or at drain, without a replay.
 //! * Frames with the retired handoff tags end the connection at the router
 //!   without a reply, and the router keeps serving.
 
@@ -368,6 +371,202 @@ fn tile_crossing_sessions_feed_the_same_refresh_statistics_as_single_process() {
     );
 }
 
+/// Streams `points` into `session`, returning the per-push trace.
+fn push_trace(
+    client: &mut ServeClient,
+    session: u64,
+    points: &[CellularPoint],
+) -> Vec<Result<u32, String>> {
+    points
+        .iter()
+        .map(|p| match client.push(session, p) {
+            Ok(committed) => Ok(committed),
+            Err(ClientError::Failed(
+                e @ (MatchError::NoCandidates | MatchError::EmptyLayer { .. }),
+            )) => Err(format!("{e:?}")),
+            Err(e) => panic!("session {session}: push failed: {e}"),
+        })
+        .collect()
+}
+
+/// A key re-opened mid-trip and sessions still open at drain end the same
+/// way in a cluster as in one process: the re-open ends the old trip on
+/// its home shard, the drain ends open sessions where they live, and
+/// neither feeds refresh statistics — only the client finish does.
+#[test]
+fn reopen_and_drain_end_sessions_as_single_process_does() {
+    let ds = Dataset::generate(&DatasetConfig::tiny_test(502));
+    let single_reg = ModelRegistry::new(cheap_model(&ds, 502), "v1");
+    let cluster_reg = ModelRegistry::new(cheap_model(&ds, 502), "v1");
+    let sessions = SessionPolicy::default();
+    let topology = ClusterTopology::build(&ds.network, &ds.index, 2, 2, sessions.radius);
+    let trajs: Vec<&[CellularPoint]> = ds
+        .test
+        .iter()
+        .take(4)
+        .map(|r| &r.cellular.points[..])
+        .collect();
+
+    // The same script against either endpoint: key 2600 re-opens halfway
+    // through its first trip and finishes its second; 2601 and 2602 are
+    // still streaming when the server drains.
+    let script = |addr| {
+        let mut client = ServeClient::connect(addr).expect("connect");
+        client.open(2600, 4).expect("open");
+        let mut trace = push_trace(&mut client, 2600, &trajs[0][..trajs[0].len() / 2]);
+        client.open(2600, 4).expect("reopen mid-trip");
+        trace.extend(push_trace(&mut client, 2600, trajs[1]));
+        let reply = client.finish(2600).expect("finish");
+        for (key, traj) in [(2601, trajs[2]), (2602, trajs[3])] {
+            client.open(key, 4).expect("open");
+            trace.extend(push_trace(&mut client, key, traj));
+        }
+        (trace, reply.segments)
+    };
+
+    let (single, cluster) = thread::scope(|s| {
+        let config = ServeConfig {
+            sessions,
+            ..Default::default()
+        };
+        let single = ServerHandle::start(
+            s,
+            ServeCtx {
+                ctx: ctx(&ds),
+                registry: &single_reg,
+                scope: None,
+            },
+            config.clone(),
+        )
+        .expect("bind single");
+        let cluster = ClusterHandle::start(
+            s,
+            ServeCtx {
+                ctx: ctx(&ds),
+                registry: &cluster_reg,
+                scope: None,
+            },
+            &topology,
+            ClusterConfig {
+                shard: config,
+                ..Default::default()
+            },
+        )
+        .expect("bind cluster");
+        let want = script(single.addr());
+        let got = script(cluster.addr());
+        assert_eq!(got, want, "sharded sessions diverged from single-process");
+        let single = single.shutdown_and_drain();
+        let cluster = cluster.shutdown_and_drain();
+        assert_eq!(cluster.in_flight_lost(), 0);
+        (single, cluster.merged)
+    });
+
+    // Re-open, finish, and two drained sessions.
+    assert_eq!(single.sessions_finalized, 4);
+    assert_eq!(cluster.sessions_finalized, single.sessions_finalized);
+    let want = single_reg.stats();
+    assert_eq!(want.observed_matches, 1, "only the finished trip teaches");
+    assert_eq!(
+        cluster_reg.stats(),
+        want,
+        "cluster refresh statistics diverged from single-process"
+    );
+}
+
+/// A session its shard LRU-evicted is gone in a cluster as in one
+/// process: the next push fails with `EmptyTrajectory`. The router must
+/// not take the eviction for a crash and bring the session back from its
+/// journal — the shard's generation has not changed.
+#[test]
+fn a_push_to_an_evicted_session_fails_as_in_single_process() {
+    let ds = Dataset::generate(&DatasetConfig::tiny_test(405));
+    let registry = ModelRegistry::new(cheap_model(&ds, 405), "v1");
+    let sessions = SessionPolicy {
+        max_sessions: 1,
+        lru_evict_min_idle: Duration::from_millis(1),
+        ..SessionPolicy::default()
+    };
+    let topology = ClusterTopology::build(&ds.network, &ds.index, 1, 1, sessions.radius);
+    // A point each session accepts.
+    let (k, radius) = (sessions.k, sessions.radius);
+    let point = |i: usize| -> CellularPoint {
+        ds.test[i]
+            .cellular
+            .points
+            .iter()
+            .copied()
+            .find(|p| {
+                let pos = p.effective_pos();
+                !nearest_segments(&ds.network, &ds.index, pos, k, radius).is_empty()
+            })
+            .expect("a located point")
+    };
+    let (pa, pb) = (point(0), point(1));
+
+    // A pushes, B opens and pushes (evicting A, idle past 1 ms), A pushes
+    // again, then both finish.
+    let script = |addr| {
+        let mut client = ServeClient::connect(addr).expect("connect");
+        client.open(1, 4).expect("open A");
+        client.push(1, &pa).expect("A's push");
+        thread::sleep(Duration::from_millis(10));
+        client.open(2, 4).expect("open B");
+        client.push(2, &pb).expect("B's push");
+        let again = client.push(1, &pa);
+        let finish_a = client.finish(1).map(|r| r.segments);
+        let finish_b = client.finish(2).map(|r| r.segments);
+        (again, finish_a, finish_b)
+    };
+
+    thread::scope(|s| {
+        let serve = ServeCtx {
+            ctx: ctx(&ds),
+            registry: &registry,
+            scope: None,
+        };
+        let config = ServeConfig {
+            sessions,
+            ..Default::default()
+        };
+        let single = ServerHandle::start(s, serve, config.clone()).expect("bind single");
+        let cluster = ClusterHandle::start(
+            s,
+            serve,
+            &topology,
+            ClusterConfig {
+                shard: config,
+                ..Default::default()
+            },
+        )
+        .expect("bind cluster");
+        let want = script(single.addr());
+        assert!(
+            matches!(want.0, Err(ClientError::Failed(MatchError::EmptyTrajectory))),
+            "single-process: {:?}",
+            want.0
+        );
+        assert!(matches!(want.1, Err(ClientError::Failed(MatchError::EmptyTrajectory))));
+        let got = script(cluster.addr());
+        assert!(
+            matches!(got.0, Err(ClientError::Failed(MatchError::EmptyTrajectory))),
+            "cluster answered {:?} to a push to an evicted session",
+            got.0
+        );
+        assert!(matches!(got.1, Err(ClientError::Failed(MatchError::EmptyTrajectory))));
+        assert_eq!(got.2.expect("finish B"), want.2.expect("finish B"));
+
+        let cluster = cluster.shutdown_and_drain();
+        let single = single.shutdown_and_drain();
+        assert_eq!(cluster.in_flight_lost(), 0);
+        assert_eq!(cluster.replays, 0, "an eviction is not a crash");
+        assert_eq!(cluster.merged.sessions_evicted_lru, 1);
+        let (got, want) = (&cluster.merged, &single);
+        assert_eq!(got.sessions_evicted_lru, want.sessions_evicted_lru);
+        assert_eq!(got.sessions_finalized, want.sessions_finalized);
+    });
+}
+
 #[test]
 fn shard_crash_mid_stream_recovers_with_nothing_lost() {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(503));
@@ -499,12 +698,13 @@ fn shard_killed_before_finish_of_a_long_session_loses_nothing() {
 }
 
 /// A replay shed at the target shard leaves a session that no shard
-/// holds, only the router's journal. Re-opening its key must still
-/// finalize the previous trajectory, as single-process reopen does.
+/// holds, only the router's journal. Its trip still ends exactly once:
+/// counted as finalized at the router when its key is re-opened, or when
+/// the cluster drains with it still open — without a replay, and without
+/// feeding refresh statistics, as single-process reopen and drain do.
 #[test]
 fn reopen_after_a_shed_replay_finalizes_the_previous_trajectory() {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(506));
-    let registry = ModelRegistry::new(cheap_model(&ds, 506), "v1");
     // One session slot per shard, and no LRU eviction of an active one.
     let sessions = SessionPolicy {
         max_sessions: 1,
@@ -529,62 +729,76 @@ fn reopen_after_a_shed_replay_finalizes_the_previous_trajectory() {
         .expect("non-empty test split");
     assert!(trip.len() >= 2, "no trajectory starts with a tile-0 run");
 
-    thread::scope(|s| {
-        let serve = ServeCtx {
-            ctx: ctx(&ds),
-            registry: &registry,
-            scope: None,
-        };
-        let config = ClusterConfig {
-            shard: ServeConfig {
-                sessions,
+    // Two endings of A's journal-only trip: a re-open of its key, or the
+    // drain right after the shed.
+    for reopen in [true, false] {
+        let registry = ModelRegistry::new(cheap_model(&ds, 506), "v1");
+        thread::scope(|s| {
+            let serve = ServeCtx {
+                ctx: ctx(&ds),
+                registry: &registry,
+                scope: None,
+            };
+            let config = ClusterConfig {
+                shard: ServeConfig {
+                    sessions: sessions.clone(),
+                    ..Default::default()
+                },
                 ..Default::default()
-            },
-            ..Default::default()
-        };
-        let cluster = ClusterHandle::start(s, serve, &topology, config).expect("bind cluster");
-        let mut client = ServeClient::connect(cluster.addr()).expect("connect");
-        let (a, b) = (6001, 6002);
-        let lag = (trip.len() + 2) as u32;
-        let typed_or_ok = |r: Result<u32, ClientError>| match r {
-            Ok(_) => true,
-            Err(ClientError::Failed(MatchError::NoCandidates | MatchError::EmptyLayer { .. })) => {
-                false
+            };
+            let cluster = ClusterHandle::start(s, serve, &topology, config).expect("bind cluster");
+            let mut client = ServeClient::connect(cluster.addr()).expect("connect");
+            let (a, b) = (6001, 6002);
+            let lag = (trip.len() + 2) as u32;
+            let typed_or_ok = |r: Result<u32, ClientError>| match r {
+                Ok(_) => true,
+                Err(ClientError::Failed(
+                    MatchError::NoCandidates | MatchError::EmptyLayer { .. },
+                )) => false,
+                Err(e) => panic!("push failed: {e}"),
+            };
+
+            // A streams all but the last point of its trip on tile 0.
+            let (last, head) = trip.split_last().expect("trip has points");
+            client.open(a, lag).expect("open A");
+            let accepted = head.iter().filter(|p| typed_or_ok(client.push(a, p))).count();
+            assert!(accepted >= 1, "no push of A's trip was accepted");
+            // Shard 0 dies with A on it; B takes the restarted shard's only
+            // slot with one accepted push.
+            assert!(cluster.kill_shard(0), "shard 0 was already down");
+            client.open(b, lag).expect("open B");
+            assert!(
+                trip.iter().any(|p| typed_or_ok(client.push(b, p))),
+                "no push of B's was accepted"
+            );
+            // A's next push finds its session gone, and the replay onto tile
+            // 0 is shed: the journal is the session's only copy.
+            match client.push(a, last) {
+                Err(ClientError::Rejected(RejectReason::SessionLimit)) => {}
+                other => panic!("expected the replay to be shed, got {other:?}"),
             }
-            Err(e) => panic!("push failed: {e}"),
-        };
+            client.finish(b).expect("finish B");
 
-        // A streams all but the last point of its trip on tile 0.
-        let (last, head) = trip.split_last().expect("trip has points");
-        client.open(a, lag).expect("open A");
-        let accepted = head.iter().filter(|p| typed_or_ok(client.push(a, p))).count();
-        assert!(accepted >= 1, "no push of A's trip was accepted");
-        // Shard 0 dies with A on it; B takes the restarted shard's only
-        // slot.
-        assert!(cluster.kill_shard(0), "shard 0 was already down");
-        client.open(b, lag).expect("open B");
-        typed_or_ok(client.push(b, &trip[0]));
-        // A's next push finds its session gone, and the replay onto tile 0
-        // is shed: the journal is the session's only copy.
-        match client.push(a, last) {
-            Err(ClientError::Rejected(RejectReason::SessionLimit)) => {}
-            other => panic!("expected the replay to be shed, got {other:?}"),
-        }
-        client.finish(b).expect("finish B");
+            if reopen {
+                // Re-opening A's key ends its first trip without replaying it.
+                client.open(a, lag).expect("reopen A");
+                let reply = client.finish(a).expect("finish A's second trip");
+                assert!(reply.segments.is_empty(), "A's second trip pushed nothing");
+            }
 
-        // Re-opening A's key finalizes its first trip on tile 0.
-        client.open(a, lag).expect("reopen A");
-        let reply = client.finish(a).expect("finish A's second trip");
-        assert!(reply.segments.is_empty(), "A's second trip pushed nothing");
-
-        let report = cluster.shutdown_and_drain();
+            let report = cluster.shutdown_and_drain();
+            assert_eq!(
+                report.merged.sessions_finalized, 2,
+                "reopen {reopen}: A's first trip and B's trip must both be finalized"
+            );
+            assert_eq!(report.in_flight_lost(), 0);
+        });
         assert_eq!(
-            report.merged.sessions_finalized, 2,
-            "A's first trip and B's trip must both be finalized"
+            registry.stats().observed_matches,
+            1,
+            "reopen {reopen}: only B's finish teaches the registry"
         );
-        assert!(report.replays >= 1, "the reopen did not replay A's journal");
-        assert_eq!(report.in_flight_lost(), 0);
-    });
+    }
 }
 
 /// A frame with a retired handoff tag (0x06, once the snapshot request) is

@@ -127,13 +127,31 @@ fn degenerate_plans_map_to_their_typed_errors() {
             _ => {}
         }
     }
-    // The infallible wrapper maps both failures to empty results and counts
-    // them, so batch pipelines keep going.
-    let (result, stats) =
-        model.match_with_engine_stats(&ctx, &CellularTrajectory::default(), &mut engine);
-    assert!(result.path.is_empty());
-    assert_eq!(stats.degradation.failed_matches, 1);
-    assert!(stats.degraded());
+    // A refused input leaves the warm engine as it was: the empty
+    // trajectory is still `EmptyTrajectory` after the whole corpus, and the
+    // clean control then matches to the same route it got in the loop.
+    // (Counting a failure as `failed_matches = 1` is the batch worker's
+    // policy, pinned by `parallel_batch_survives_corpus_with_deterministic_verdicts`.)
+    let clean = corpus
+        .cases
+        .iter()
+        .find(|c| c.plan == "clean")
+        .expect("corpus has a clean control");
+    let before = model
+        .try_match_with_engine_stats(&ctx, &clean.traj, &mut engine)
+        .expect("clean control matches")
+        .0;
+    assert_eq!(
+        model
+            .try_match_with_engine_stats(&ctx, &CellularTrajectory::default(), &mut engine)
+            .err(),
+        Some(MatchError::EmptyTrajectory)
+    );
+    let after = model
+        .try_match_with_engine_stats(&ctx, &clean.traj, &mut engine)
+        .expect("clean control matches after a refused input")
+        .0;
+    assert_eq!(after.path.segments, before.path.segments);
 }
 
 /// Parallel batch matching over the corpus: no panics, verdicts identical
@@ -181,7 +199,7 @@ fn parallel_batch_survives_corpus_with_deterministic_verdicts() {
 }
 
 /// Streaming over the corpus: empty candidate layers are skipped via the
-/// typed error, every other observation streams through, and `finish`
+/// typed error, every other observation streams through, and `finalize`
 /// always returns (possibly empty) without panicking.
 #[test]
 fn streaming_engine_survives_corpus() {
@@ -207,7 +225,7 @@ fn streaming_engine_survives_corpus() {
             }
         }
         let deg = stream.degradation();
-        let path = stream.finish();
+        let path = stream.finalize();
         if pushed > 0 {
             assert!(!path.is_empty(), "case {ci} ({})", case.plan);
         } else {
@@ -296,7 +314,7 @@ fn corpus_verdicts_are_identical_under_both_sp_backends() {
                     Err(e) => panic!("case {ci} ({}): unexpected error {e}", case.plan),
                 }
             }
-            paths.push(stream.finish().segments);
+            paths.push(stream.finalize().segments);
         }
         assert_eq!(
             paths[0], paths[1],
