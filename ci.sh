@@ -99,7 +99,10 @@ run cargo test -q -p lhmm-network --test ch_oracle --test sp_metamorphic
 
 # Serving gate: real-TCP loopback equivalence (concurrent clients must be
 # byte-identical to offline serial matching), typed overload shedding, and
-# lose-nothing graceful drain.
+# lose-nothing graceful drain. One front end (accept loop, connection
+# loop, drain gate, model plane) serves both the server and the router;
+# its unit test holds the drain gate at both: Ping and Versions answered,
+# every other request shed as ShuttingDown and counted once.
 run cargo test -q -p lhmm-serve
 
 # Cluster gate (DESIGN §13): 4-shard verdict fingerprints byte-identical
@@ -108,9 +111,11 @@ run cargo test -q -p lhmm-serve
 # single-process, and a shard killed mid-stream (supervisor restart +
 # journal replay, in_flight_lost() == 0) — and session endings matching
 # single-process: a key re-opened mid-trip and sessions open at drain
-# (equal refresh statistics and sessions_finalized), a push to an
-# LRU-evicted session (EmptyTrajectory, no replay), and a journal-only
-# trip finalized once at re-open or drain. Plus decoder panic-freedom
+# (equal refresh statistics, sessions_opened and sessions_finalized), a
+# trip with no accepted push ended by finish, re-open or drain (counted
+# at the router, where no shard sees it), a push to an LRU-evicted
+# session (EmptyTrajectory, no replay), and a journal-only trip finalized
+# once at re-open or drain. Plus decoder panic-freedom
 # fuzzing, retired handoff tags included. Run serially as well: the
 # supervisor's restart path must not depend on test scheduling.
 run cargo test -q -p lhmm-serve --test cluster_loopback --test protocol_fuzz
@@ -130,13 +135,15 @@ run env RUST_TEST_THREADS=1 cargo test -q -p lhmm-serve --test swap_loopback
 # Lock-hierarchy witness gate (DESIGN §15): the runtime twin of the
 # lock-order lint. The witness harness proves a seeded inversion panics
 # with both acquisition sites, then the serving, cluster, and swap
-# suites run in RELEASE with the witness compiled in (the `lock-witness`
-# feature; debug runs above already had it via debug_assertions), at one
-# worker and at the default parallelism — every acquisition in every
-# scenario is rank-checked, and zero inversions may fire.
+# suites and the lhmm-serve unit tests (front end and drain gate
+# included) run in RELEASE with the witness compiled in (the
+# `lock-witness` feature; debug runs above already had it via
+# debug_assertions), at one worker and at the default parallelism — every
+# acquisition in every scenario is rank-checked, and zero inversions may
+# fire.
 run cargo test -q -p lhmm-core --release --features lock-witness --test lock_witness
-run env RUST_TEST_THREADS=1 cargo test -q -p lhmm-serve --release --features lock-witness --test lock_witness --test loopback --test cluster_loopback --test swap_loopback
-run cargo test -q -p lhmm-serve --release --features lock-witness --test lock_witness --test loopback --test cluster_loopback --test swap_loopback
+run env RUST_TEST_THREADS=1 cargo test -q -p lhmm-serve --release --features lock-witness --lib --test lock_witness --test loopback --test cluster_loopback --test swap_loopback
+run cargo test -q -p lhmm-serve --release --features lock-witness --lib --test lock_witness --test loopback --test cluster_loopback --test swap_loopback
 
 # Benchmark runner gate: perfbench is a separate package that drives the
 # crates only through their public APIs (MatchStats, BatchStats, the

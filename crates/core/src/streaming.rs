@@ -202,23 +202,24 @@ impl<'a> StreamingEngine<'a> {
         committed_now
     }
 
-    /// Flushes the remaining lag window, returns the complete path, and
-    /// resets the session for the next trajectory.
+    /// Flushes the remaining lag window, returns the complete path with
+    /// the trip's [`Degradation`] (read after the flush, which can itself
+    /// glue a disconnected gap, and before the reset), and resets the
+    /// session for the next trajectory.
     ///
     /// The engine stays alive, so a long-lived server session (or a pool of
     /// reusable engines) amortizes the shortest-path cache across
     /// trajectories: [`SpCache`] state never changes answers, only speed,
     /// so a reused engine is byte-identical to a fresh one (pinned by
     /// `reused_engine_matches_fresh_engine`).
-    pub fn finalize(&mut self) -> Path {
-        if self.layers.is_empty() {
-            self.reset();
-            return Path::empty();
+    pub fn finalize(&mut self) -> (Path, Degradation) {
+        if !self.layers.is_empty() {
+            self.commit_to(self.layers.len());
         }
-        self.commit_to(self.layers.len());
         let path = std::mem::replace(&mut self.committed_path, Path::empty());
+        let degradation = self.degradation;
         self.reset();
-        path
+        (path, degradation)
     }
 
     /// Clears all per-trajectory state (DP frontier, committed prefix,
@@ -281,7 +282,7 @@ mod tests {
                 .push(positions[i], p.t, layer, &mut model)
                 .expect("non-empty layer");
         }
-        stream.finalize()
+        stream.finalize().0
     }
 
     #[test]
@@ -360,7 +361,7 @@ mod tests {
                 .push(positions[i], p.t, layer, &mut model)
                 .expect("non-empty layer");
         }
-        let streamed = stream.finalize();
+        let (streamed, _) = stream.finalize();
         assert_eq!(streamed.segments, offline.path.segments);
     }
 
@@ -402,13 +403,14 @@ mod tests {
                     .expect("non-empty layer");
             }
             let deg_before_finalize = stream.degradation();
-            let got = stream.finalize();
+            let (got, deg) = stream.finalize();
             assert_eq!(
                 got.segments, want.segments,
                 "trajectory {i}: reused engine diverged from fresh engine"
             );
             // finalize() may add disconnected_joins while flushing the lag
             // window, never fewer events than already accumulated.
+            assert!(deg.disconnected_joins >= deg_before_finalize.disconnected_joins);
             assert!(stream.degradation() == Degradation::default(),
                 "degradation counters leaked across finalize: {:?} (had {:?})",
                 stream.degradation(), deg_before_finalize
@@ -425,7 +427,7 @@ mod tests {
     fn finalize_on_empty_session_is_empty_and_reusable() {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(207));
         let mut stream = StreamingEngine::new(&ds.network, 1);
-        assert!(stream.finalize().is_empty());
+        assert!(stream.finalize().0.is_empty());
         // Still usable afterwards.
         let path = {
             let rec = &ds.test[0];
@@ -446,7 +448,7 @@ mod tests {
                     .push(positions[pi], p.t, layer, &mut model)
                     .expect("non-empty layer");
             }
-            stream.finalize()
+            stream.finalize().0
         };
         assert!(!path.is_empty());
     }
@@ -456,7 +458,7 @@ mod tests {
         let ds = Dataset::generate(&DatasetConfig::tiny_test(204));
         let mut stream = StreamingEngine::new(&ds.network, 2);
         assert!(stream.is_empty());
-        assert!(stream.finalize().is_empty());
+        assert!(stream.finalize().0.is_empty());
     }
 
     #[test]
@@ -485,6 +487,6 @@ mod tests {
         stream
             .push(positions[0], rec.cellular.points[0].t + 60.0, layer, &mut model)
             .expect("non-empty layer");
-        assert!(!stream.finalize().is_empty());
+        assert!(!stream.finalize().0.is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! supervision.
 //!
 //! ```text
-//! clients ──▶ router (TCP front end, same wire protocol)
+//! clients ──▶ router (the server's front end, same wire protocol)
 //!               │  one-shots: routed by the first point's tile
 //!               │  sessions:  opened on the tile of the first push and
 //!               │             kept there until the finish; the router
@@ -44,7 +44,14 @@
 //!   A home still in the generation that placed a session ended it itself
 //!   if it answers `EmptyTrajectory` (idle or LRU); only a restarted home
 //!   means a crash and a replay. A trip no shard holds is counted as
-//!   finalized at the router, at re-open or drain, and never replayed.
+//!   finalized at the router, at re-open or drain, and never replayed; a
+//!   trip no shard ever held (no accepted push) is counted as opened too,
+//!   and at a finish credited to its version, as one server counts it.
+//!
+//! The router is a data plane behind the same front end as one server
+//! (`frontend.rs`): the accept and connection loops, the drain gate and
+//! the model plane are shared; this module adds routing, the journal,
+//! replay and supervision, and the cluster's drain order.
 //!
 //! Known divergence from single-process serving: `Open` is deferred (the
 //! tile is unknown until the first located push), so a
@@ -52,15 +59,15 @@
 //! than at `Open`.
 
 use crate::admission::RejectReason;
+use crate::client::ServeClient;
+use crate::frontend::{DataPlane, FrontEnd};
 use crate::metrics::{ServeMetrics, ServeReport};
-use crate::protocol::{
-    read_request, read_response, write_request, write_response, Request, Response,
-    WireMatchError,
-};
+use crate::protocol::{read_response, write_request, Request, Response, WireMatchError};
 use crate::scheduler::ServeCtx;
 use crate::server::{ServeConfig, ServerHandle};
 use lhmm_cellsim::traj::CellularPoint;
-use lhmm_core::registry::{ModelRegistry, ModelVersion, RegistryError};
+use lhmm_core::registry::ModelRegistry;
+use lhmm_core::sync::{rank, OrderedMutex};
 use lhmm_geo::Point;
 use lhmm_network::graph::RoadNetwork;
 use lhmm_network::spatial::SpatialIndex;
@@ -68,9 +75,8 @@ use lhmm_network::tile::{TileGrid, TileScope};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use lhmm_core::sync::{rank, OrderedMutex};
 use std::sync::Arc;
 use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Duration;
@@ -272,10 +278,9 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
                 .handle
                 .as_ref()
                 .map(|h| h.addr());
-            let alive = match addr {
-                Some(a) => ping(a),
-                None => false,
-            };
+            let alive = addr.is_some_and(|a| {
+                ServeClient::connect(a).is_ok_and(|mut client| client.ping().is_ok())
+            });
             if !alive {
                 if addr.is_some() {
                     self.kill(tile);
@@ -311,25 +316,14 @@ impl<'scope, 'env> Supervisor<'scope, 'env> {
     }
 }
 
-/// One health ping over a throwaway connection.
-fn ping(addr: SocketAddr) -> bool {
-    let Ok(mut stream) = TcpStream::connect(addr) else {
-        return false;
-    };
-    let _ = stream.set_nodelay(true);
-    if write_request(&mut stream, &Request::Ping).is_err() {
-        return false;
-    }
-    matches!(read_response(&mut stream), Ok(Response::Pong { .. }))
-}
-
 /// Router-side record of one streaming session.
 struct SessionEntry {
     /// The session's home: the shard holding it (`None` until the first
     /// located push, and again once that shard lost the session or a
     /// placement failed — the next push or finish replays the journal).
     tile: Option<usize>,
-    /// Generation of the home shard that placed the session.
+    /// Generation of the home shard that placed the session; 0 while no
+    /// shard ever has.
     generation: u64,
     /// Fixed lag requested at `Open`, replayed on shard-side opens.
     lag: u32,
@@ -345,31 +339,23 @@ struct SessionEntry {
     journal: Vec<CellularPoint>,
 }
 
-struct RouterShared<'scope, 'env> {
+/// The router's data plane: tile routing, session homes, the journal and
+/// its replay. The front end's metrics hold what the router itself counts
+/// (its sheds, and the trips no shard ends); shards never see those
+/// requests, so merging with shard reports double-counts nothing.
+pub(crate) struct Router<'scope, 'env> {
     topology: &'env ClusterTopology,
     supervisor: Supervisor<'scope, 'env>,
-    /// The cluster-wide registry all shards share. Model-plane requests
-    /// (swap/shadow/refresh) act on it once, here — every shard observes
-    /// the change atomically, so shards can never disagree on the active
-    /// version.
-    registry: &'env ModelRegistry,
     sessions: OrderedMutex<HashMap<u64, SessionEntry>>,
-    /// Router-plane metrics: sheds the router itself issues (shards never
-    /// see those requests, so merging with shard reports double-counts
-    /// nothing).
-    metrics: Arc<ServeMetrics>,
-    shutting_down: AtomicBool,
     monitor_stop: AtomicBool,
     /// One pooled connection per shard, keyed by the shard generation it
     /// reaches; session ops are serialized by the sessions mutex, one-shots
     /// serialize per tile on these locks.
     conns: Vec<OrderedMutex<Option<(u64, TcpStream)>>>,
-    peers: OrderedMutex<Vec<TcpStream>>,
-    handlers: OrderedMutex<Vec<ScopedJoinHandle<'scope, ()>>>,
     replays: AtomicU64,
 }
 
-impl RouterShared<'_, '_> {
+impl Router<'_, '_> {
     /// One request/response exchange with the shard serving `tile`, over
     /// the pooled connection; returns the answer and the generation of the
     /// shard that gave it. A transport failure tears the shard down and
@@ -475,10 +461,22 @@ impl RouterShared<'_, '_> {
         })
     }
 
+    /// Counts the end of a trip no shard will end, as one server counts
+    /// it: finalized, and opened as well when no shard ever placed it.
+    fn count_unheld_end(&self, entry: &SessionEntry, metrics: &ServeMetrics) {
+        if self.held(entry) {
+            return;
+        }
+        if entry.generation == 0 {
+            metrics.on_session_opened();
+        }
+        metrics.on_session_finalized();
+    }
+
     /// Finalizes `client`'s session on its shard for a client `Finish`.
     /// A journaled session no shard holds (a crash or a shed replay left it
     /// nowhere) is replayed onto the tile of its last accepted push first.
-    fn finish(&self, entry: &mut SessionEntry, client: u64) -> Response {
+    fn finish(&self, entry: &mut SessionEntry, client: u64, metrics: &ServeMetrics) -> Response {
         let tile = match (entry.tile, entry.journal.last()) {
             (Some(tile), _) => tile,
             (None, Some(last)) => {
@@ -489,8 +487,11 @@ impl RouterShared<'_, '_> {
                 tile
             }
             // Opened but never successfully pushed: the empty route,
-            // exactly what finalizing a fresh engine yields.
+            // exactly what finalizing a fresh engine yields, counted as
+            // one server counts that finish.
             (None, None) => {
+                self.count_unheld_end(entry, metrics);
+                metrics.on_version_finished(entry.version);
                 return Response::Route {
                     segments: Vec::new(),
                     degraded: false,
@@ -519,15 +520,20 @@ impl RouterShared<'_, '_> {
         Response::Reject(RejectReason::ShuttingDown)
     }
 
-    fn respond(&self, req: Request) -> Response {
-        if self.shutting_down.load(Ordering::Acquire) {
-            if matches!(req, Request::Ping) {
-                let sessions = self.sessions.lock().len() as u32;
-                return Response::Pong { sessions };
-            }
-            self.metrics.on_rejected(RejectReason::ShuttingDown);
-            return Response::Reject(RejectReason::ShuttingDown);
+    /// The cluster report around a merged shard + router rollup.
+    fn rollup(&self, merged: ServeReport) -> ClusterReport {
+        ClusterReport {
+            merged,
+            shards: self.topology.num_tiles(),
+            restarts: self.supervisor.restarts_total.load(Ordering::Relaxed),
+            handoffs: 0,
+            replays: self.replays.load(Ordering::Relaxed),
         }
+    }
+}
+
+impl DataPlane for Router<'_, '_> {
+    fn serve(&self, req: Request, registry: &ModelRegistry, metrics: &ServeMetrics) -> Response {
         match req {
             Request::OneShot { traj } => {
                 let tile = traj
@@ -538,7 +544,7 @@ impl RouterShared<'_, '_> {
                 match self.rpc(tile, &Request::OneShot { traj }) {
                     Some((resp, _)) => resp,
                     None => {
-                        self.metrics.on_rejected(RejectReason::ShuttingDown);
+                        metrics.on_rejected(RejectReason::ShuttingDown);
                         Response::Reject(RejectReason::ShuttingDown)
                     }
                 }
@@ -548,10 +554,10 @@ impl RouterShared<'_, '_> {
                 // active version NOW, so every shard-side open and replay
                 // for this session carries the same explicit pin
                 // regardless of later swaps.
-                let resolved = match self.registry.resolve(version) {
+                let resolved = match registry.resolve(version) {
                     Ok(pin) => pin.manifest.version.0,
                     Err(_) => {
-                        self.metrics.on_rejected(RejectReason::Invalid);
+                        metrics.on_rejected(RejectReason::Invalid);
                         return Response::Reject(RejectReason::Invalid);
                     }
                 };
@@ -572,9 +578,7 @@ impl RouterShared<'_, '_> {
                     let placed = old
                         .tile
                         .map_or(Ok(()), |home| self.replay(&mut entry, client, home));
-                    if !self.held(&old) && !old.journal.is_empty() {
-                        self.metrics.on_session_finalized();
-                    }
+                    self.count_unheld_end(&old, metrics);
                     if let Err(reason) = placed {
                         return Response::Reject(reason);
                     }
@@ -642,7 +646,7 @@ impl RouterShared<'_, '_> {
                 };
                 // Finalize is a session op: the session lock is held
                 // across its shard round trips, as in the Push arm above.
-                let reply = self.finish(entry, client);
+                let reply = self.finish(entry, client, metrics);
                 // A route ends the session, and so does EmptyTrajectory
                 // (its home ended it). After a reject the entry and its
                 // journal stay, so the client can finish again.
@@ -654,106 +658,13 @@ impl RouterShared<'_, '_> {
                 }
                 reply
             }
-            Request::Ping => {
-                let sessions = self.sessions.lock().len() as u32;
-                Response::Pong { sessions }
-            }
-            // Model plane: one registry serves every shard, so acting on
-            // it here swaps the whole cluster atomically — no shard can
-            // admit on the old version once the promote returns.
-            Request::Swap { version } => {
-                let swapped = if version == 0 {
-                    self.registry.rollback().map(|_| ())
-                } else {
-                    self.registry.promote(ModelVersion(version))
-                };
-                match swapped {
-                    Ok(()) => {
-                        self.metrics.on_model_swap();
-                        self.models_response(0)
-                    }
-                    Err(_) => {
-                        self.metrics.on_rejected(RejectReason::Invalid);
-                        Response::Reject(RejectReason::Invalid)
-                    }
-                }
-            }
-            Request::Shadow { version, mirror_every } => {
-                if version == 0 {
-                    self.registry.clear_shadow();
-                    return self.models_response(0);
-                }
-                match self.registry.set_shadow(ModelVersion(version), mirror_every) {
-                    Ok(()) => self.models_response(0),
-                    Err(_) => {
-                        self.metrics.on_rejected(RejectReason::Invalid);
-                        Response::Reject(RejectReason::Invalid)
-                    }
-                }
-            }
-            Request::Versions => self.models_response(0),
-            Request::Refresh => {
-                let label = format!("refresh-{}", self.registry.refresh_count() + 1);
-                match self.registry.refresh(&label) {
-                    Ok(version) => {
-                        self.metrics.on_model_refresh();
-                        self.models_response(version.0)
-                    }
-                    Err(RegistryError::EmptyStats) => self.models_response(0),
-                    Err(_) => {
-                        self.metrics.on_rejected(RejectReason::Invalid);
-                        Response::Reject(RejectReason::Invalid)
-                    }
-                }
-            }
+            // The front end answers every other request itself.
+            _ => Response::Reject(RejectReason::Invalid),
         }
     }
 
-    /// The cluster report around a merged shard + router rollup.
-    fn rollup(&self, merged: ServeReport) -> ClusterReport {
-        ClusterReport {
-            merged,
-            shards: self.topology.num_tiles(),
-            restarts: self.supervisor.restarts_total.load(Ordering::Relaxed),
-            handoffs: 0,
-            replays: self.replays.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Same shape as the single-process server's model-plane answer.
-    fn models_response(&self, refreshed: u32) -> Response {
-        let (shadow, mirror_every) = match self.registry.shadow_plan() {
-            Some((v, n)) => (v.0, n),
-            None => (0, 0),
-        };
-        Response::Models {
-            active: self.registry.active_version().0,
-            previous: self.registry.previous_version().map_or(0, |v| v.0),
-            shadow,
-            mirror_every,
-            refreshed,
-            manifests: self.registry.manifests(),
-        }
-    }
-
-    fn handle_connection(&self, mut stream: TcpStream) {
-        loop {
-            let req = match read_request(&mut stream) {
-                Ok(r) => r,
-                // Disconnect or malformed frame (retired tags included):
-                // end the connection. Shut the socket down so the client
-                // sees EOF now — the peer list holds a clone of it until
-                // drain.
-                Err(_) => {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return;
-                }
-            };
-            let resp = self.respond(req);
-            if write_response(&mut stream, &resp).is_err() {
-                return;
-            }
-        }
+    fn sessions(&self) -> usize {
+        self.sessions.lock().len()
     }
 }
 
@@ -801,11 +712,8 @@ impl ClusterReport {
 /// [`std::thread::scope`]. Clients connect to [`ClusterHandle::addr`] and
 /// speak the ordinary wire protocol — sharding is invisible on the wire.
 pub struct ClusterHandle<'scope, 'env> {
-    addr: SocketAddr,
-    shared: Arc<RouterShared<'scope, 'env>>,
-    accept: OrderedMutex<Option<ScopedJoinHandle<'scope, ()>>>,
+    pub(crate) front: FrontEnd<'scope, 'env, Router<'scope, 'env>>,
     monitor: OrderedMutex<Option<ScopedJoinHandle<'scope, ()>>>,
-    drained: AtomicBool,
 }
 
 impl<'scope, 'env> ClusterHandle<'scope, 'env> {
@@ -825,70 +733,42 @@ impl<'scope, 'env> ClusterHandle<'scope, 'env> {
                 ..serve
             })
             .collect();
-        let supervisor =
-            Supervisor::start(scope, serves, config.shard.clone(), config.max_restarts)?;
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
-        let shared = Arc::new(RouterShared {
+        let supervisor = Supervisor::start(scope, serves, config.shard, config.max_restarts)?;
+        let router = Router {
             topology,
             supervisor,
-            registry: serve.registry,
             // Rank-ordered (DESIGN §15): the session table is the root of
             // every router lock chain (sessions -> conns -> slots -> dead).
             sessions: OrderedMutex::new(rank::ROUTER_SESSIONS, "router.sessions", HashMap::new()),
-            metrics: Arc::new(ServeMetrics::new()),
-            shutting_down: AtomicBool::new(false),
             monitor_stop: AtomicBool::new(false),
             conns: (0..topology.num_tiles())
                 .map(|_| OrderedMutex::new(rank::ROUTER_CONN, "router.conn", None))
                 .collect(),
-            peers: OrderedMutex::new(rank::SERVER_PEERS, "router.peers", Vec::new()),
-            handlers: OrderedMutex::new(rank::SERVER_HANDLERS, "router.handlers", Vec::new()),
             replays: AtomicU64::new(0),
-        });
-
+        };
+        // The cluster-wide registry all shards share: the front end's model
+        // plane acts on it once, here.
+        let front = FrontEnd::start(scope, router, serve.registry, Arc::new(ServeMetrics::new()))?;
         let monitor = {
-            let shared = Arc::clone(&shared);
+            let plane = Arc::clone(&front.plane);
             let interval = config.ping_interval;
             scope.spawn(move || {
-                while !shared.monitor_stop.load(Ordering::Acquire) {
-                    shared.supervisor.health_check();
+                while !plane.data.monitor_stop.load(Ordering::Acquire) {
+                    plane.data.supervisor.health_check();
                     std::thread::sleep(interval);
                 }
             })
         };
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || {
-                for incoming in listener.incoming() {
-                    if shared.shutting_down.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = incoming else { continue };
-                    let _ = stream.set_nodelay(true);
-                    let Ok(peer) = stream.try_clone() else { continue };
-                    shared.peers.lock().push(peer);
-                    let conn_shared = Arc::clone(&shared);
-                    let handle = scope.spawn(move || conn_shared.handle_connection(stream));
-                    shared.handlers.lock().push(handle);
-                }
-            })
-        };
-
         Ok(ClusterHandle {
-            addr,
-            shared,
-            accept: OrderedMutex::new(rank::ACCEPT_HANDLE, "router.accept", Some(accept)),
+            front,
             monitor: OrderedMutex::new(rank::MONITOR_HANDLE, "router.monitor", Some(monitor)),
-            drained: AtomicBool::new(false),
         })
     }
 
     /// The router's loopback address — the cluster's single public
     /// endpoint.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
+        self.front.addr()
     }
 
     /// Hard-kills the shard serving `tile` (the simulated crash for
@@ -896,18 +776,15 @@ impl<'scope, 'env> ClusterHandle<'scope, 'env> {
     /// supervisor restarts it within budget. Returns false when the shard
     /// was already down.
     pub fn kill_shard(&self, tile: usize) -> bool {
-        self.shared.supervisor.kill(tile)
+        self.front.plane.data.supervisor.kill(tile)
     }
 
     /// Live cluster rollup.
     pub fn report(&self) -> ClusterReport {
-        let shared = &self.shared;
-        let mut merged = shared.supervisor.report();
-        let router = shared
-            .metrics
-            .snapshot(0, shared.sessions.lock().len());
-        merged.merge(&router);
-        shared.rollup(merged)
+        let plane = &self.front.plane;
+        let mut merged = plane.data.supervisor.report();
+        merged.merge(&plane.metrics.snapshot(0, plane.data.sessions()));
+        plane.data.rollup(merged)
     }
 
     /// Graceful cluster drain: stop router admissions, account for the
@@ -915,50 +792,34 @@ impl<'scope, 'env> ClusterHandle<'scope, 'env> {
     /// the sessions it holds), join the router threads, and return the
     /// final rollup.
     pub fn shutdown_and_drain(&self) -> ClusterReport {
-        self.drained.store(true, Ordering::Release);
-        let shared = &self.shared;
+        let plane = &self.front.plane;
+        let router = &plane.data;
         // 1. Stop admissions at the router.
-        shared.shutting_down.store(true, Ordering::Release);
+        self.front.close_gate();
         // 2. Each shard's drain (step 4) ends the sessions it holds; a trip
         //    no shard holds is counted here, without a replay.
-        let entries: Vec<SessionEntry> = shared.sessions.lock().drain().map(|(_, e)| e).collect();
+        let entries: Vec<SessionEntry> = router.sessions.lock().drain().map(|(_, e)| e).collect();
         for entry in &entries {
-            if !entry.journal.is_empty() && !shared.held(entry) {
-                shared.metrics.on_session_finalized();
-            }
+            router.count_unheld_end(entry, &plane.metrics);
         }
         // 3. Stop the monitor so it cannot resurrect draining shards.
-        shared.monitor_stop.store(true, Ordering::Release);
+        router.monitor_stop.store(true, Ordering::Release);
         let monitor = self.monitor.lock().take();
         if let Some(h) = monitor {
             let _ = h.join();
         }
         // 4. Drain every shard (merges previously dead generations).
-        let mut merged = shared.supervisor.drain_all();
-        // 5. Unblock and join the router accept loop and handlers.
-        let _ = TcpStream::connect(self.addr);
-        let accept = self.accept.lock().take();
-        if let Some(h) = accept {
-            let _ = h.join();
-        }
-        for peer in shared.peers.lock().drain(..) {
-            let _ = peer.shutdown(std::net::Shutdown::Both);
-        }
-        let handlers = {
-            let mut guard = shared.handlers.lock();
-            std::mem::take(&mut *guard)
-        };
-        for h in handlers {
-            let _ = h.join();
-        }
-        merged.merge(&shared.metrics.snapshot(0, 0));
-        shared.rollup(merged)
+        let mut merged = router.supervisor.drain_all();
+        // 5. Join the router accept loop and connection handlers.
+        self.front.close();
+        merged.merge(&plane.metrics.snapshot(0, 0));
+        router.rollup(merged)
     }
 }
 
 impl Drop for ClusterHandle<'_, '_> {
     fn drop(&mut self) {
-        if !self.drained.load(Ordering::Acquire) {
+        if !self.front.is_closed() {
             let _ = self.shutdown_and_drain();
         }
     }

@@ -20,10 +20,12 @@
 //!   queueing unboundedly.
 //!
 //! The wire protocol ([`protocol`]) is a length-prefixed binary framing
-//! over TCP; [`client`] is the blocking in-crate client. [`server`] ties
-//! it together and guarantees graceful drain: stop admissions, flush every
-//! admitted request, end open sessions, join all threads, report metrics
-//! ([`metrics`]).
+//! over TCP; [`client`] is the blocking in-crate client. One front end
+//! (`frontend.rs`: accept loop, connection loop, drain gate, model plane)
+//! serves both [`server`] and the [`cluster`] router, which plug in their
+//! own data planes. [`server`] guarantees graceful drain: stop admissions,
+//! flush every admitted request, end open sessions, join all threads,
+//! report metrics ([`metrics`]).
 //!
 //! Model versioning (ISSUE 9): every server runs against a
 //! [`ModelRegistry`](lhmm_core::registry::ModelRegistry). Work is pinned
@@ -39,6 +41,7 @@
 pub mod admission;
 pub mod client;
 pub mod cluster;
+mod frontend;
 pub mod metrics;
 pub mod protocol;
 pub mod scheduler;

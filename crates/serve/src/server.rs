@@ -1,16 +1,18 @@
-//! The TCP front end: accept loop, per-connection handlers, and graceful
-//! drain.
+//! One map-matching server: a shard's data plane behind the front end it
+//! shares with the cluster router (`frontend.rs`).
 //!
 //! ```text
-//! TcpListener ── accept ──▶ handler thread per connection
-//!                              │ OneShot ──▶ MicroBatcher (bounded queue → workers)
-//!                              │ Open/Push/Finish ──▶ SessionManager (mutexed)
-//!                              └ responses framed back on the same stream
+//! front end ── OneShot ──▶ MicroBatcher (bounded queue → workers)
+//!           └─ Open/Push/Finish ──▶ SessionManager (mutexed)
 //! ```
 //!
+//! The front end owns the listener, the connection handlers, the drain
+//! gate and the model plane; this module adds the one-shot and session
+//! requests and the drain order around them.
+//!
 //! Shutdown contract ([`ServerHandle::shutdown_and_drain`]): admissions
-//! stop first (every subsequent request is shed with
-//! [`RejectReason::ShuttingDown`]), then every already-admitted one-shot
+//! stop first (every subsequent request but `Ping` and `Versions` is shed
+//! with [`RejectReason::ShuttingDown`]), then every already-admitted one-shot
 //! flushes through the workers, open sessions end with
 //! [`EndReason::Drain`], and all threads join before the final
 //! [`ServeReport`] snapshot is taken — an admitted request is never dropped
@@ -22,61 +24,54 @@
 //! table applies that rule in its one ending, [`SessionManager::end`].
 
 use crate::admission::RejectReason;
+use crate::frontend::{DataPlane, FrontEnd};
 use crate::metrics::{ServeMetrics, ServeReport};
-use crate::protocol::{
-    read_request, write_response, Request, Response, WireMatchError,
-};
+use crate::protocol::{Request, Response, WireMatchError};
 use crate::scheduler::{BatchPolicy, MicroBatcher, ServeCtx};
 use crate::session::{EndReason, SessionManager, SessionPolicy};
-use lhmm_core::registry::{ModelRegistry, ModelVersion, RegistryError};
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use lhmm_core::registry::ModelRegistry;
 use lhmm_core::sync::{rank, OrderedMutex};
+use std::io;
+use std::net::SocketAddr;
 use std::sync::Arc;
-use std::thread::{Scope, ScopedJoinHandle};
+use std::thread::Scope;
 
 /// Full service configuration.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct ServeConfig {
     /// Micro-batch scheduler parameters (one-shot path).
     pub batch: BatchPolicy,
     /// Session-table parameters (streaming path).
     pub sessions: SessionPolicy,
     /// One-shot trajectories with more points than this are shed with
-    /// [`RejectReason::Oversized`]. Zero means "use the default".
+    /// [`RejectReason::Oversized`].
     pub max_points: usize,
 }
 
-impl ServeConfig {
-    fn max_points(&self) -> usize {
-        if self.max_points == 0 {
-            100_000
-        } else {
-            self.max_points
+impl Default for ServeConfig {
+    fn default() -> Self {
+        ServeConfig {
+            batch: BatchPolicy::default(),
+            sessions: SessionPolicy::default(),
+            max_points: 100_000,
         }
     }
 }
 
-struct Shared<'scope, 'env> {
+/// A shard's data plane: one-shots through the micro-batcher, sessions
+/// through the session table.
+pub(crate) struct Shard<'scope, 'env> {
     batcher: MicroBatcher<'scope, 'env>,
     sessions: OrderedMutex<SessionManager<'env>>,
-    registry: &'env ModelRegistry,
-    metrics: Arc<ServeMetrics>,
-    shutting_down: AtomicBool,
     max_points: usize,
-    /// Duplicated handles of accepted streams, so drain can unblock
-    /// handlers parked in `read_request`.
-    peers: OrderedMutex<Vec<TcpStream>>,
-    handlers: OrderedMutex<Vec<ScopedJoinHandle<'scope, ()>>>,
 }
 
-impl Shared<'_, '_> {
-    fn respond(&self, req: Request) -> Response {
+impl DataPlane for Shard<'_, '_> {
+    fn serve(&self, req: Request, registry: &ModelRegistry, metrics: &ServeMetrics) -> Response {
         match req {
             Request::OneShot { traj } => {
                 if traj.points.len() > self.max_points {
-                    self.metrics.on_rejected(RejectReason::Oversized);
+                    metrics.on_rejected(RejectReason::Oversized);
                     return Response::Reject(RejectReason::Oversized);
                 }
                 match self.batcher.submit(traj) {
@@ -94,29 +89,21 @@ impl Shared<'_, '_> {
                 }
             }
             Request::Open { client, lag, version } => {
-                if self.shutting_down.load(Ordering::Acquire) {
-                    self.metrics.on_rejected(RejectReason::ShuttingDown);
-                    return Response::Reject(RejectReason::ShuttingDown);
-                }
                 // Admission is the pinning moment: version 0 resolves to
                 // whatever is active *now*, an explicit version must exist.
-                let Ok(pin) = self.registry.resolve(version) else {
-                    self.metrics.on_rejected(RejectReason::Invalid);
+                let Ok(pin) = registry.resolve(version) else {
+                    metrics.on_rejected(RejectReason::Invalid);
                     return Response::Reject(RejectReason::Invalid);
                 };
                 let mut sessions = self.sessions.lock();
-                match sessions.open(client, lag as usize, pin, &self.metrics) {
+                match sessions.open(client, lag as usize, pin, metrics) {
                     Ok(()) => Response::Pushed { committed: 0 },
                     Err(reason) => Response::Reject(reason),
                 }
             }
             Request::Push { client, point } => {
-                if self.shutting_down.load(Ordering::Acquire) {
-                    self.metrics.on_rejected(RejectReason::ShuttingDown);
-                    return Response::Reject(RejectReason::ShuttingDown);
-                }
                 let mut sessions = self.sessions.lock();
-                match sessions.push(client, &point, &self.metrics) {
+                match sessions.push(client, &point, metrics) {
                     Ok(committed) => Response::Pushed {
                         committed: committed as u32,
                     },
@@ -124,12 +111,8 @@ impl Shared<'_, '_> {
                 }
             }
             Request::Finish { client } => {
-                if self.shutting_down.load(Ordering::Acquire) {
-                    self.metrics.on_rejected(RejectReason::ShuttingDown);
-                    return Response::Reject(RejectReason::ShuttingDown);
-                }
                 let mut sessions = self.sessions.lock();
-                match sessions.end(client, EndReason::Finish, &self.metrics) {
+                match sessions.end(client, EndReason::Finish, metrics) {
                     Some(fin) => Response::Route {
                         segments: fin.path.segments,
                         degraded: fin.disconnected_joins > 0,
@@ -139,110 +122,13 @@ impl Shared<'_, '_> {
                     None => Response::Failed(WireMatchError { code: 0, a: 0, b: 0 }),
                 }
             }
-            // Health plane: always answered, even during drain, so a
-            // supervisor can distinguish "draining" from "dead".
-            Request::Ping => Response::Pong {
-                sessions: self.sessions.lock().len() as u32,
-            },
-            Request::Swap { version } => {
-                if self.shutting_down.load(Ordering::Acquire) {
-                    self.metrics.on_rejected(RejectReason::ShuttingDown);
-                    return Response::Reject(RejectReason::ShuttingDown);
-                }
-                let swapped = if version == 0 {
-                    self.registry.rollback().map(|_| ())
-                } else {
-                    self.registry.promote(ModelVersion(version))
-                };
-                match swapped {
-                    Ok(()) => {
-                        self.metrics.on_model_swap();
-                        self.models_response(0)
-                    }
-                    Err(_) => {
-                        self.metrics.on_rejected(RejectReason::Invalid);
-                        Response::Reject(RejectReason::Invalid)
-                    }
-                }
-            }
-            Request::Shadow { version, mirror_every } => {
-                if self.shutting_down.load(Ordering::Acquire) {
-                    self.metrics.on_rejected(RejectReason::ShuttingDown);
-                    return Response::Reject(RejectReason::ShuttingDown);
-                }
-                if version == 0 {
-                    self.registry.clear_shadow();
-                    return self.models_response(0);
-                }
-                match self.registry.set_shadow(ModelVersion(version), mirror_every) {
-                    Ok(()) => self.models_response(0),
-                    Err(_) => {
-                        self.metrics.on_rejected(RejectReason::Invalid);
-                        Response::Reject(RejectReason::Invalid)
-                    }
-                }
-            }
-            // Introspection plane: like Ping, answered even during drain.
-            Request::Versions => self.models_response(0),
-            Request::Refresh => {
-                if self.shutting_down.load(Ordering::Acquire) {
-                    self.metrics.on_rejected(RejectReason::ShuttingDown);
-                    return Response::Reject(RejectReason::ShuttingDown);
-                }
-                let label = format!("refresh-{}", self.registry.refresh_count() + 1);
-                match self.registry.refresh(&label) {
-                    Ok(version) => {
-                        self.metrics.on_model_refresh();
-                        self.models_response(version.0)
-                    }
-                    // No statistics yet: not an error, just nothing new —
-                    // the manifest answer carries `refreshed: 0`.
-                    Err(RegistryError::EmptyStats) => self.models_response(0),
-                    Err(_) => {
-                        self.metrics.on_rejected(RejectReason::Invalid);
-                        Response::Reject(RejectReason::Invalid)
-                    }
-                }
-            }
+            // The front end answers every other request itself.
+            _ => Response::Reject(RejectReason::Invalid),
         }
     }
 
-    /// The model-plane answer: active/previous/shadow pointers plus every
-    /// manifest, with `refreshed` naming a version a Refresh just minted
-    /// (0 otherwise).
-    fn models_response(&self, refreshed: u32) -> Response {
-        let (shadow, mirror_every) = match self.registry.shadow_plan() {
-            Some((v, n)) => (v.0, n),
-            None => (0, 0),
-        };
-        Response::Models {
-            active: self.registry.active_version().0,
-            previous: self.registry.previous_version().map_or(0, |v| v.0),
-            shadow,
-            mirror_every,
-            refreshed,
-            manifests: self.registry.manifests(),
-        }
-    }
-
-    fn handle_connection(&self, mut stream: TcpStream) {
-        loop {
-            let req = match read_request(&mut stream) {
-                Ok(r) => r,
-                // Disconnect, malformed frame, or drain-time shutdown of
-                // the socket all end the connection; the framing error is
-                // the client's to observe, as EOF (the peer list holds a
-                // clone of the socket until drain).
-                Err(_) => {
-                    let _ = stream.shutdown(std::net::Shutdown::Both);
-                    return;
-                }
-            };
-            let resp = self.respond(req);
-            if write_response(&mut stream, &resp).is_err() {
-                return;
-            }
-        }
+    fn sessions(&self) -> usize {
+        self.sessions.lock().len()
     }
 }
 
@@ -253,10 +139,7 @@ impl Shared<'_, '_> {
 /// threads running and the scope would never close (a hang instead of a
 /// test failure).
 pub struct ServerHandle<'scope, 'env> {
-    addr: SocketAddr,
-    shared: Arc<Shared<'scope, 'env>>,
-    accept: OrderedMutex<Option<ScopedJoinHandle<'scope, ()>>>,
-    drained: AtomicBool,
+    pub(crate) front: FrontEnd<'scope, 'env, Shard<'scope, 'env>>,
 }
 
 impl<'scope, 'env> ServerHandle<'scope, 'env> {
@@ -268,82 +151,39 @@ impl<'scope, 'env> ServerHandle<'scope, 'env> {
         serve: ServeCtx<'env>,
         config: ServeConfig,
     ) -> io::Result<Self> {
-        let listener = TcpListener::bind(("127.0.0.1", 0))?;
-        let addr = listener.local_addr()?;
         let metrics = Arc::new(ServeMetrics::new());
-        let batcher =
-            MicroBatcher::start(scope, serve, config.batch.clone(), Arc::clone(&metrics));
+        let batcher = MicroBatcher::start(scope, serve, config.batch, Arc::clone(&metrics));
         let mut sessions = SessionManager::new(
             serve.ctx.net,
             serve.ctx.index,
             serve.registry,
-            config.sessions.clone(),
+            config.sessions,
         );
         if let Some(tile_scope) = serve.scope {
             sessions = sessions.with_scope(tile_scope);
         }
-        let shared = Arc::new(Shared {
+        let shard = Shard {
             batcher,
             // Rank-ordered (DESIGN §15): the session lock is taken above
             // metrics/registry leaves and below nothing else in this shard.
             sessions: OrderedMutex::new(rank::SERVER_SESSIONS, "server.sessions", sessions),
-            registry: serve.registry,
-            metrics,
-            shutting_down: AtomicBool::new(false),
-            max_points: config.max_points(),
-            peers: OrderedMutex::new(rank::SERVER_PEERS, "server.peers", Vec::new()),
-            handlers: OrderedMutex::new(rank::SERVER_HANDLERS, "server.handlers", Vec::new()),
-        });
-
-        let accept = {
-            let shared = Arc::clone(&shared);
-            scope.spawn(move || {
-                for incoming in listener.incoming() {
-                    if shared.shutting_down.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(stream) = incoming else { continue };
-                    // Request/response frames are small; without nodelay,
-                    // Nagle + delayed ACK adds ~40 ms per round trip,
-                    // which would distort every latency histogram and
-                    // idle-based session policy.
-                    let _ = stream.set_nodelay(true);
-                    // Track a duplicate handle so drain can unblock the
-                    // handler; a connection we cannot track we do not
-                    // serve (it could park a handler forever).
-                    let Ok(peer) = stream.try_clone() else { continue };
-                    shared.peers.lock().push(peer);
-                    let conn_shared = Arc::clone(&shared);
-                    let handle = scope.spawn(move || conn_shared.handle_connection(stream));
-                    shared.handlers.lock().push(handle);
-                }
-            })
+            max_points: config.max_points,
         };
-
-        Ok(ServerHandle {
-            addr,
-            shared,
-            accept: OrderedMutex::new(rank::ACCEPT_HANDLE, "server.accept", Some(accept)),
-            drained: AtomicBool::new(false),
-        })
+        let front = FrontEnd::start(scope, shard, serve.registry, metrics)?;
+        Ok(ServerHandle { front })
     }
 
     /// The bound loopback address clients connect to.
     pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Live metrics (shared with scheduler, workers, and sessions).
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.shared.metrics
+        self.front.addr()
     }
 
     /// Point-in-time metrics snapshot of the running server.
     pub fn report(&self) -> ServeReport {
-        self.shared.metrics.snapshot(
-            self.shared.batcher.queue_depth(),
-            self.shared.sessions.lock().len(),
-        )
+        let plane = &self.front.plane;
+        plane
+            .metrics
+            .snapshot(plane.data.batcher.queue_depth(), plane.data.sessions())
     }
 
     /// Graceful drain: stop admissions, flush every admitted one-shot
@@ -363,47 +203,33 @@ impl<'scope, 'env> ServerHandle<'scope, 'env> {
     }
 
     fn stop(&self, crash: bool) -> ServeReport {
-        self.drained.store(true, Ordering::Release);
-        let shared = &self.shared;
-        // 1. Stop admissions: handlers shed everything from here on.
-        shared.shutting_down.store(true, Ordering::Release);
+        let plane = &self.front.plane;
+        let shard = &plane.data;
+        // 1. Stop admissions: the drain gate sheds all but Ping and
+        //    Versions from here on.
+        self.front.close_gate();
         // 2. Sessions: a crash loses them; a drain (step 4) ends them.
         if crash {
-            let _ = shared.sessions.lock().drop_all();
+            let _ = shard.sessions.lock().drop_all();
         }
         // 3. Flush the one-shot pipeline. Handlers blocked on a reply
         //    receive it here (workers answer every admitted job before
         //    exiting).
-        shared.batcher.drain();
+        shard.batcher.drain();
         // 4. End open streaming sessions (reason Drain: flushed and
         //    counted, not observed — a drained trip is truncated).
         if !crash {
-            shared.sessions.lock().drain(&shared.metrics);
+            shard.sessions.lock().drain(&plane.metrics);
         }
-        // 5. Unblock the accept loop with a self-connection and join it.
-        let _ = TcpStream::connect(self.addr);
-        let accept = self.accept.lock().take();
-        if let Some(h) = accept {
-            let _ = h.join();
-        }
-        // 6. Unblock handlers parked in read_request and join them.
-        for peer in shared.peers.lock().drain(..) {
-            let _ = peer.shutdown(std::net::Shutdown::Both);
-        }
-        let handlers = {
-            let mut guard = shared.handlers.lock();
-            std::mem::take(&mut *guard)
-        };
-        for h in handlers {
-            let _ = h.join();
-        }
-        shared.metrics.snapshot(shared.batcher.queue_depth(), 0)
+        // 5. Join the accept loop and every connection handler.
+        self.front.close();
+        plane.metrics.snapshot(shard.batcher.queue_depth(), 0)
     }
 }
 
 impl Drop for ServerHandle<'_, '_> {
     fn drop(&mut self) {
-        if !self.drained.load(Ordering::Acquire) {
+        if !self.front.is_closed() {
             let _ = self.shutdown_and_drain();
         }
     }

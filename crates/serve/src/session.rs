@@ -191,8 +191,7 @@ impl<'a> SessionManager<'a> {
         metrics: &ServeMetrics,
     ) -> Option<SessionFinish> {
         let session = self.sessions.get_mut(&client)?;
-        let path = session.engine.finalize();
-        let disconnected_joins = session.engine.degradation().disconnected_joins;
+        let (path, degradation) = session.engine.finalize();
         let points = std::mem::take(&mut session.points);
         let version = session.pin.manifest.version.0;
         if reason != EndReason::Reopen {
@@ -210,7 +209,7 @@ impl<'a> SessionManager<'a> {
         metrics.on_session_finalized();
         Some(SessionFinish {
             path,
-            disconnected_joins,
+            disconnected_joins: degradation.disconnected_joins,
         })
     }
 
@@ -504,6 +503,47 @@ mod tests {
         assert_eq!(report.sessions_opened, 2);
         assert_eq!(report.sessions_finalized, 2);
         assert_eq!(reg.stats().observed_matches, 1, "only the finished trip");
+    }
+
+    /// A gap the lag flush glues at the finish is reported with the route:
+    /// the counters are read after the flush and before the reset.
+    #[test]
+    fn a_gap_glued_at_the_finish_is_reported() {
+        use lhmm_cellsim::tower::TowerId;
+        use lhmm_geo::Point;
+        use lhmm_network::builder::NetworkBuilder;
+        use lhmm_network::graph::RoadClass;
+        // Two line components 100 km apart with no connecting segment.
+        let mut b = NetworkBuilder::new();
+        let a0 = b.add_node(Point::new(0.0, 0.0));
+        let a1 = b.add_node(Point::new(500.0, 0.0));
+        let a2 = b.add_node(Point::new(1_000.0, 0.0));
+        let c0 = b.add_node(Point::new(100_000.0, 0.0));
+        let c1 = b.add_node(Point::new(100_500.0, 0.0));
+        b.add_two_way(a0, a1, RoadClass::Local).expect("edge");
+        b.add_two_way(a1, a2, RoadClass::Local).expect("edge");
+        b.add_two_way(c0, c1, RoadClass::Local).expect("edge");
+        let net = b.build().expect("valid two-component network");
+        let index = SpatialIndex::build(&net, 500.0);
+        let ds = Dataset::generate(&DatasetConfig::tiny_test(321));
+        let metrics = ServeMetrics::new();
+        let reg = registry_for(&ds);
+        let mut mgr = SessionManager::new(&net, &index, &reg, policy(8, 60_000));
+        // Lag 4 commits nothing while streaming: the gap is glued by the
+        // flush inside the finish.
+        mgr.open(1, 4, reg.active(), &metrics).expect("open");
+        for (i, x) in [250.0, 100_250.0].into_iter().enumerate() {
+            let point = CellularPoint {
+                tower: TowerId(0),
+                pos: Point::new(x, 10.0),
+                t: i as f64 * 60.0,
+                smoothed: None,
+            };
+            mgr.push(1, &point, &metrics).expect("located push");
+        }
+        let fin = mgr.end(1, EndReason::Finish, &metrics).expect("finish");
+        assert!(!fin.path.is_empty());
+        assert!(fin.disconnected_joins >= 1, "{fin:?}");
     }
 
     #[test]

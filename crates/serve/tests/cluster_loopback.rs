@@ -33,7 +33,7 @@ use lhmm_geo::Point;
 use lhmm_network::graph::SegmentId;
 use lhmm_serve::{
     ClientError, ClusterConfig, ClusterHandle, ClusterTopology, RejectReason, ServeClient,
-    ServeConfig, ServeCtx, ServerHandle, SessionPolicy,
+    ServeConfig, ServeCtx, ServeReport, ServerHandle, SessionPolicy,
 };
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -392,7 +392,9 @@ fn push_trace(
 /// A key re-opened mid-trip and sessions still open at drain end the same
 /// way in a cluster as in one process: the re-open ends the old trip on
 /// its home shard, the drain ends open sessions where they live, and
-/// neither feeds refresh statistics — only the client finish does.
+/// neither feeds refresh statistics — only the client finish does. A trip
+/// with no accepted push never reaches a shard; the router counts its
+/// ending (finish, re-open or drain) as one process does.
 #[test]
 fn reopen_and_drain_end_sessions_as_single_process_does() {
     let ds = Dataset::generate(&DatasetConfig::tiny_test(502));
@@ -409,7 +411,9 @@ fn reopen_and_drain_end_sessions_as_single_process_does() {
 
     // The same script against either endpoint: key 2600 re-opens halfway
     // through its first trip and finishes its second; 2601 and 2602 are
-    // still streaming when the server drains.
+    // still streaming when the server drains. No push reaches 2603 before
+    // its finish, 2604's first trip before its re-open, or 2605 before the
+    // drain.
     let script = |addr| {
         let mut client = ServeClient::connect(addr).expect("connect");
         client.open(2600, 4).expect("open");
@@ -421,6 +425,13 @@ fn reopen_and_drain_end_sessions_as_single_process_does() {
             client.open(key, 4).expect("open");
             trace.extend(push_trace(&mut client, key, traj));
         }
+        client.open(2603, 4).expect("open");
+        let empty = client.finish(2603).expect("finish a trip with no push");
+        assert!(empty.segments.is_empty() && !empty.degraded);
+        client.open(2604, 4).expect("open");
+        client.open(2604, 4).expect("reopen a trip with no push");
+        trace.extend(push_trace(&mut client, 2604, trajs[0]));
+        client.open(2605, 4).expect("open");
         (trace, reply.segments)
     };
 
@@ -462,9 +473,15 @@ fn reopen_and_drain_end_sessions_as_single_process_does() {
         (single, cluster.merged)
     });
 
-    // Re-open, finish, and two drained sessions.
-    assert_eq!(single.sessions_finalized, 4);
+    // 2600's re-open and finish, 2601 and 2602 drained; the no-push
+    // finish, re-open and drain, and 2604's second trip drained.
+    assert_eq!(single.sessions_opened, 8);
+    assert_eq!(single.sessions_finalized, 8);
+    assert_eq!(cluster.sessions_opened, single.sessions_opened);
     assert_eq!(cluster.sessions_finalized, single.sessions_finalized);
+    let served = |r: &ServeReport| r.versions.lanes.get(&1).map_or(0, |l| l.served);
+    assert_eq!(served(&single), 2, "two client finishes");
+    assert_eq!(served(&cluster), served(&single));
     let want = single_reg.stats();
     assert_eq!(want.observed_matches, 1, "only the finished trip teaches");
     assert_eq!(
@@ -786,10 +803,14 @@ fn reopen_after_a_shed_replay_finalizes_the_previous_trajectory() {
                 assert!(reply.segments.is_empty(), "A's second trip pushed nothing");
             }
 
+            // A's first trip, B's trip, and on re-open A's second trip,
+            // which no shard ever held: counted at the router as one
+            // process counts it.
             let report = cluster.shutdown_and_drain();
             assert_eq!(
-                report.merged.sessions_finalized, 2,
-                "reopen {reopen}: A's first trip and B's trip must both be finalized"
+                report.merged.sessions_finalized,
+                2 + u64::from(reopen),
+                "reopen {reopen}: every trip must be finalized exactly once"
             );
             assert_eq!(report.in_flight_lost(), 0);
         });

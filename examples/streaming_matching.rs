@@ -60,7 +60,7 @@ fn main() {
             stream.committed().length(&ds.network)
         );
     }
-    let path = stream.finalize();
+    let (path, _) = stream.finalize();
     let q = evaluate_path(&ds.network, &path, &rec.truth);
     println!(
         "\nfinal: {} segments | precision {:.3} | recall {:.3} | CMF50 {:.3}",

@@ -224,8 +224,7 @@ fn streaming_engine_survives_corpus() {
                 Err(e) => panic!("case {ci} ({}): unexpected error {e}", case.plan),
             }
         }
-        let deg = stream.degradation();
-        let path = stream.finalize();
+        let (path, deg) = stream.finalize();
         if pushed > 0 {
             assert!(!path.is_empty(), "case {ci} ({})", case.plan);
         } else {
@@ -314,7 +313,7 @@ fn corpus_verdicts_are_identical_under_both_sp_backends() {
                     Err(e) => panic!("case {ci} ({}): unexpected error {e}", case.plan),
                 }
             }
-            paths.push(stream.finalize().segments);
+            paths.push(stream.finalize().0.segments);
         }
         assert_eq!(
             paths[0], paths[1],

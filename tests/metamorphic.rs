@@ -101,7 +101,7 @@ fn streaming_commits_are_prefixes_of_the_final_path() {
                 .expect("non-empty layer");
             snapshots.push(stream.committed().segments.clone());
         }
-        let fin = stream.finalize();
+        let (fin, _) = stream.finalize();
         for (si, snap) in snapshots.iter().enumerate() {
             assert!(
                 fin.segments.starts_with(snap),
@@ -158,7 +158,7 @@ fn full_lag_streaming_byte_matches_offline_matcher() {
                 .push(pos, t, layer, &mut model)
                 .expect("non-empty layer");
         }
-        assert_eq!(stream.finalize().segments, offline.path.segments);
+        assert_eq!(stream.finalize().0.segments, offline.path.segments);
     }
 }
 
