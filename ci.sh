@@ -82,14 +82,15 @@ run cargo test -q --test batch_equivalence --test end_to_end --test matcher_cont
 # relations must hold in every matching mode (serial/parallel/streaming).
 run cargo test -q --test fault_injection --test metamorphic
 
-# SIMD-kernel exactness gate: the scoring-equivalence, fault-injection and
-# kernel-corpus suites must pass with every kernel this machine supports
-# forced via the LHMM_KERNEL startup env var (the in-process force_scope
-# arm is covered by the suites themselves). Every score is pinned bitwise
-# to the unfused reference functions, so these runs must be byte-identical
-# replays.
+# SIMD-kernel exactness gate: the scoring-equivalence, fault-injection,
+# kernel-corpus and weights-roundtrip suites must pass with every kernel
+# this machine supports forced via the LHMM_KERNEL startup env var (the
+# in-process force_scope arm is covered by the suites themselves). Every
+# score is pinned bitwise to the unfused reference functions, and the
+# trained weights (two-thread training products included) to a pinned
+# hash, so these runs must be byte-identical replays.
 for kern in $(cargo run -q -p lhmm-lint -- --kernels); do
-  run env LHMM_KERNEL="$kern" cargo test -q --test scoring_equivalence --test fault_injection --test kernel_corpus
+  run env LHMM_KERNEL="$kern" cargo test -q --test scoring_equivalence --test fault_injection --test kernel_corpus --test weights_roundtrip
 done
 
 # Exactness gate for the contraction-hierarchy backend: property-based

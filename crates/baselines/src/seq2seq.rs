@@ -176,6 +176,7 @@ impl Seq2SeqMatcher {
 
     fn fit(&mut self, ds: &Dataset, rng: &mut StdRng) {
         let mut opt = Adam::new(self.cfg.lr, 1e-4);
+        let mut tape = Tape::new();
         for _ in 0..self.cfg.steps {
             let rec = &ds.train[rng.gen_range(0..ds.train.len())];
             if rec.cellular.is_empty() || rec.truth.is_empty() {
@@ -201,7 +202,7 @@ impl Seq2SeqMatcher {
                 .map(|s| s.idx())
                 .collect();
 
-            let mut tape = Tape::new();
+            tape.reset();
             let (enc_states, enc_final) = self.encode(&mut tape, &tower_idx);
 
             // Teacher-forced decode with a sampled softmax: the subset for
@@ -245,10 +246,10 @@ impl Seq2SeqMatcher {
             let Some(lv) = step_logits else { continue };
             let targets = vec![0usize; n_steps];
             let (_, grad) = softmax_cross_entropy_batch(tape.value(lv), &targets, 0.0);
-            let grads = tape.backward(lv, grad);
-            let mut pg = tape.param_grads(&grads);
-            clip_grad_norm(&mut pg, 5.0);
-            opt.step(&mut self.store, &pg);
+            tape.backward(lv, &grad);
+            let pg = tape.param_grads();
+            clip_grad_norm(pg, 5.0);
+            opt.step(&mut self.store, pg);
         }
     }
 

@@ -147,8 +147,9 @@ impl ObservationLearner {
 
         // ---------------- Stage 1: implicit classifier ----------------
         let mut opt = Adam::new(cfg.lr, 1e-4);
+        let mut tape = Tape::new();
         for _ in 0..cfg.epochs {
-            let mut tape = Tape::new();
+            tape.reset();
             let mut logits_var = None;
             let mut targets: Vec<f32> = Vec::new();
             for _ in 0..cfg.batch_points {
@@ -196,10 +197,10 @@ impl ObservationLearner {
             let Some(lv) = logits_var else { continue };
             let target_m = Matrix::col_vector(targets);
             let (_, grad) = bce_with_logits(tape.value(lv), &target_m, 0.1);
-            let grads = tape.backward(lv, grad);
-            let mut pg = tape.param_grads(&grads);
-            clip_grad_norm(&mut pg, 5.0);
-            opt.step(&mut learner.implicit_store, &pg);
+            tape.backward(lv, &grad);
+            let pg = tape.param_grads();
+            clip_grad_norm(pg, 5.0);
+            opt.step(&mut learner.implicit_store, pg);
         }
 
         // ---------------- Stage 2: fusion fine-tuning ----------------
@@ -235,15 +236,15 @@ impl ObservationLearner {
             if rows == 0 {
                 continue;
             }
-            let mut tape = Tape::new();
+            tape.reset();
             let x = tape.constant(Matrix::from_vec(rows, 1 + N_EXPLICIT, inputs));
             let logit = learner.fuse_mlp.forward(&mut tape, &learner.fuse_store, x);
             let target_m = Matrix::col_vector(targets);
             let (_, grad) = bce_with_logits(tape.value(logit), &target_m, 0.1);
-            let grads = tape.backward(logit, grad);
-            let mut pg = tape.param_grads(&grads);
-            clip_grad_norm(&mut pg, 5.0);
-            fuse_opt.step(&mut learner.fuse_store, &pg);
+            tape.backward(logit, &grad);
+            let pg = tape.param_grads();
+            clip_grad_norm(pg, 5.0);
+            fuse_opt.step(&mut learner.fuse_store, pg);
         }
 
         learner

@@ -302,6 +302,13 @@ fn train_model(
 
     let n = graph.num_nodes() as u32;
     let mut opt = Adam::new(cfg.lr, 1e-4);
+    // The frozen embeddings outlive training, so their buffer is allocated
+    // before the tape's arena: when the arena is freed, nothing long-lived
+    // sits above it and the allocator can return the memory.
+    let mut frozen = Matrix::zeros(graph.num_nodes(), cfg.dim);
+    // One tape for the whole run: every epoch records the same shapes, so
+    // after the first its arena serves every buffer.
+    let mut tape = Tape::new();
 
     for _ in 0..cfg.epochs {
         // Sample a mixed batch of positive edges proportional to relation
@@ -332,7 +339,7 @@ fn train_model(
             }
         }
 
-        let mut tape = Tape::new();
+        tape.reset();
         let h = model.forward(&mut tape);
         let hs = tape.gather_rows(h, &srcs);
         let hd = tape.gather_rows(h, &dsts);
@@ -341,19 +348,20 @@ fn train_model(
         let logits = tape.matmul(prod, ones); // batch×1 dot products
         let target_m = Matrix::col_vector(targets);
         let (_, grad) = bce_with_logits(tape.value(logits), &target_m, 0.0);
-        let grads = tape.backward(logits, grad);
-        let mut pg = tape.param_grads(&grads);
-        clip_grad_norm(&mut pg, 5.0);
-        opt.step(&mut model.store, &pg);
+        tape.backward(logits, &grad);
+        let pg = tape.param_grads();
+        clip_grad_norm(pg, 5.0);
+        opt.step(&mut model.store, pg);
     }
 
     // Extract frozen embeddings with a final forward pass.
-    let mut tape = Tape::new();
+    tape.reset();
     let h = model.forward(&mut tape);
+    frozen.data_mut().copy_from_slice(tape.value(h).data());
     Embeddings {
         dim: cfg.dim,
         num_towers: graph.num_towers,
-        data: tape.value(h).clone(),
+        data: frozen,
     }
 }
 

@@ -6,6 +6,7 @@
 //!
 //! * [`matrix::Matrix`] — row-major `f32` dense matrices,
 //! * [`tape::Tape`] — reverse-mode automatic differentiation over matrix ops,
+//!   on a reusable, arena-backed tape,
 //! * [`layers`] — `Linear`, `Mlp`, `AdditiveAttention` (the Eq. 6/9 form),
 //!   `GruCell` (for the seq2seq baselines),
 //! * [`loss`] — label-smoothed cross-entropy (paper §IV-D), BCE, MSE,
@@ -13,7 +14,8 @@
 //! * [`init`] — seeded Xavier/He initialization,
 //! * [`kernel`] — runtime-dispatched SIMD inference kernels (AVX2/SSE2/
 //!   NEON/scalar), bitwise-pinned to the scalar reference, over
-//!   [`avec::AVec`] 32-byte-aligned storage.
+//!   [`avec::AVec`] 32-byte-aligned storage, plus the exact two-thread
+//!   training products the tape runs.
 //!
 //! Everything is deterministic under a fixed seed; tests gradient-check the
 //! operators against central differences.
@@ -29,11 +31,15 @@
 //! let wv = tape.param(&store, w);
 //! let h = tape.matmul(x, wv);
 //! let y = tape.relu(h);
-//! let grads = tape.backward(y, Matrix::full(1, 1, 1.0));
+//! tape.backward(y, &Matrix::full(1, 1, 1.0));
 //! // y = relu(2·0.5 + 4·(-0.25)) = relu(0) = 0, but the gradient flows
 //! // through the pre-activation only where it is positive.
-//! let dw = tape.param_grads(&grads);
+//! let dw = tape.param_grads();
 //! assert_eq!(dw.len(), 1);
+//! // A training loop reuses the tape: `reset` returns every buffer to its
+//! // arena for the next step.
+//! tape.reset();
+//! assert!(tape.is_empty());
 //! ```
 
 // `unsafe` is denied crate-wide; the only exceptions are the two audited

@@ -58,22 +58,19 @@ impl Adam {
         let bias1 = 1.0 - self.beta1.powf(t);
         let bias2 = 1.0 - self.beta2.powf(t);
         for (pid, grad) in grads {
-            let idx = pid.0;
+            let (value, m, v) = store.adam_slots(*pid);
             debug_assert_eq!(
-                store.value(*pid).shape(),
+                value.shape(),
                 grad.shape(),
-                "gradient shape mismatch for param {idx}"
+                "gradient shape mismatch for param {}",
+                pid.0
             );
-            // Split-borrow via index juggling: update m, v, then the value.
-            for i in 0..grad.data().len() {
-                let g = grad.data()[i];
-                let m = &mut store.m[idx].data_mut()[i];
+            let moments = m.data_mut().iter_mut().zip(v.data_mut());
+            for ((w, (m, v)), &g) in value.data_mut().iter_mut().zip(moments).zip(grad.data()) {
                 *m = self.beta1 * *m + (1.0 - self.beta1) * g;
                 let m_hat = *m / bias1;
-                let v = &mut store.v[idx].data_mut()[i];
                 *v = self.beta2 * *v + (1.0 - self.beta2) * g * g;
                 let v_hat = *v / bias2;
-                let w = &mut store.value_mut(*pid).data_mut()[i];
                 // Decoupled weight decay (AdamW).
                 *w -= self.lr * (m_hat / (v_hat.sqrt() + self.epsilon) + self.weight_decay * *w);
             }
@@ -112,13 +109,13 @@ mod tests {
         let w = store.alloc(Matrix::row_vector(vec![5.0, -3.0]));
         let target = Matrix::row_vector(vec![1.0, 2.0]);
         let mut opt = Adam::new(0.05, 0.0);
+        let mut tape = Tape::new();
         for _ in 0..500 {
-            let mut tape = Tape::new();
+            tape.reset();
             let wv = tape.param(&store, w);
             let (_, grad) = mse(tape.value(wv), &target);
-            let g = tape.backward(wv, grad);
-            let pg = tape.param_grads(&g);
-            opt.step(&mut store, &pg);
+            tape.backward(wv, &grad);
+            opt.step(&mut store, tape.param_grads());
         }
         let final_w = store.value(w);
         assert!((final_w.data()[0] - 1.0).abs() < 1e-2, "{final_w:?}");
